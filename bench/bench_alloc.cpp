@@ -18,7 +18,6 @@
 #include "alloc/arena_allocator.hpp"
 #include "alloc/pool_allocator.hpp"
 #include "bench_json.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
 

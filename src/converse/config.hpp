@@ -75,13 +75,8 @@ struct MachineConfig {
   /// whole run can be made faulty from the outside.
   net::FaultPlan faults{};
 
-  /// Force the PAMI ack/retransmit reliability protocol on even without
-  /// faults (to measure protocol overhead on a lossless fabric).  It is
-  /// auto-enabled whenever a fault plan is active — the runtime cannot
-  /// survive drops without it.
-  bool reliable = false;
-
-  /// Reliability tuning (windows, timeouts; pami/reliability.hpp).
+  /// Reliability tuning (windows, timeouts; pami/reliability.hpp).  The
+  /// PAMI ack/retransmit protocol runs whenever a fault plan is active.
   pami::ReliabilityParams reliability{};
 
   /// TRAM-style streaming aggregation of small remote messages

@@ -288,7 +288,11 @@ Process::Process(Machine& machine, pami::EndpointId endpoint)
 
   client_ = std::make_unique<pami::Client>(machine.fabric(), endpoint,
                                            cfg.contexts_per_process());
-  if (cfg.reliable) client_->enable_reliability(cfg.reliability);
+  // The runtime cannot survive drops without the ack/retransmit protocol,
+  // so any active fault plan turns it on.
+  if (machine.fabric().faults_enabled()) {
+    client_->enable_reliability(cfg.reliability);
+  }
   register_dispatches();
 
   pes_.reserve(workers);
@@ -586,10 +590,7 @@ Machine::Machine(MachineConfig cfg)
   // processes under tests that have no checkpoint/restart or watchdog to
   // survive or even notice it.
   if (!cfg_.ft.armed()) plan.crashes.clear();
-  if (plan.enabled()) {
-    fabric_->set_fault_plan(plan);
-    cfg_.reliable = true;  // the runtime cannot survive drops without it
-  }
+  if (plan.enabled()) fabric_->set_fault_plan(plan);
   ft_armed_ = cfg_.ft.armed();
   barrier_slots_ = std::vector<BarrierSlot>(cfg_.pe_count());
   if (ft_armed_) {

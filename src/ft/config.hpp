@@ -44,10 +44,6 @@ struct Config {
   /// requests a machine stop, and sets a flag tests can read.
   bool watchdog_abort = true;
 
-  /// Reset the metrics registry's epoch during recovery so post-restart
-  /// `ft.*`/`net.*` counters aren't conflated with pre-crash traffic.
-  bool reset_metrics_epoch = false;
-
   bool armed() const noexcept { return enabled || watchdog_ms > 0; }
 };
 

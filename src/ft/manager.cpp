@@ -798,7 +798,6 @@ void Manager::do_recover_multi(cvs::Pe& pe) {
     rec_blobs_.clear();
   }
   ckpt_bytes_.store(store_.resident_bytes(), std::memory_order_relaxed);
-  if (cfg_.reset_metrics_epoch) mach_.metrics().reset_epoch();
   recoveries_.fetch_add(1, std::memory_order_relaxed);
   recovery_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
   last_ckpt_ns_.store(now_ns(), std::memory_order_release);
@@ -835,7 +834,6 @@ void Manager::do_recover(cvs::Pe& pe) {
     snapshot_all(nseq);
     store_.commit(nseq);
     ckpt_bytes_.store(store_.resident_bytes(), std::memory_order_relaxed);
-    if (cfg_.reset_metrics_epoch) mach_.metrics().reset_epoch();
     recoveries_.fetch_add(1, std::memory_order_relaxed);
     recovery_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
     last_ckpt_ns_.store(now_ns(), std::memory_order_release);

@@ -224,7 +224,7 @@ void Context::transmit(Channel& ch, net::Packet* pkt) {
   const ReliabilityParams& rp = client_.reliability();
   pkt->seq = ch.next_seq++;
   // Piggyback acks owed to this same peer on the outgoing data packet.
-  const std::size_t take = std::min(rp.max_piggyback, ch.owed_acks.size());
+  const std::size_t take = std::min(kMaxPiggybackAcks, ch.owed_acks.size());
   if (take != 0) {
     pkt->acks.assign(ch.owed_acks.end() - static_cast<std::ptrdiff_t>(take),
                      ch.owed_acks.end());
@@ -411,7 +411,7 @@ std::size_t Context::reliability_tick() {
     for (auto& [key, ch] : chans_) {
       while (!ch.owed_acks.empty()) {
         const std::size_t take =
-            std::min(rp.max_ack_batch, ch.owed_acks.size());
+            std::min(kMaxAckBatch, ch.owed_acks.size());
         auto* ack = new net::Packet();
         ack->kind = net::TransferKind::kMemFifo;
         ack->src = client_.endpoint();

@@ -24,6 +24,12 @@
 
 namespace bgq::pami {
 
+/// Max acks piggybacked on one outgoing data packet.
+inline constexpr std::size_t kMaxPiggybackAcks = 16;
+
+/// Max acks carried by one standalone ack packet.
+inline constexpr std::size_t kMaxAckBatch = 64;
+
 struct ReliabilityParams {
   /// Initial retransmit timeout.  The emulated wire is nanoseconds, so the
   /// timer mostly measures scheduling delay of the peer's advance loop.
@@ -45,12 +51,6 @@ struct ReliabilityParams {
   /// the one hard failure: the application is outrunning the network by
   /// an unbounded amount.
   std::size_t backlog_max = 65536;
-
-  /// Max acks piggybacked on one outgoing data packet.
-  std::size_t max_piggyback = 16;
-
-  /// Max acks carried by one standalone ack packet.
-  std::size_t max_ack_batch = 64;
 
   /// Sliding dedup window: a received seq more than this far below the
   /// channel's highest-seen seq is unconditionally treated as a duplicate,

@@ -8,6 +8,7 @@
 // flat-trace timestamps are re-based to a run-relative origin).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -46,10 +47,15 @@ struct Value {
     if (v == nullptr) throw std::runtime_error("missing key: " + key);
     return *v;
   }
-  /// Number member coerced to uint64 (throws when absent or non-numeric).
+  /// Number member as a uint64 (throws when absent, non-numeric, or not
+  /// an integer in [0, 2^64) — converting such a double is undefined).
   std::uint64_t u64(const std::string& key) const {
     const Value& v = at(key);
     if (!v.is_number()) throw std::runtime_error("not a number: " + key);
+    if (!(v.num >= 0 && v.num < 18446744073709551616.0) ||
+        v.num != std::floor(v.num)) {
+      throw std::runtime_error("not an unsigned integer: " + key);
+    }
     return static_cast<std::uint64_t>(v.num);
   }
 };

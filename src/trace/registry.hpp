@@ -187,43 +187,25 @@ class Registry {
     return total_locked(name);
   }
 
-  /// Start a new reporting epoch: every counter and gauge value reported
-  /// from now on is relative to this instant (clamped at zero), so
-  /// post-restart `ft.*`/`net.*` traffic isn't conflated with pre-crash
-  /// totals.  Shard cells are NOT touched — owner threads keep their
-  /// plain non-atomic increments; only the report-time view shifts.
-  /// Callable any time; best called at a quiescent point (recovery
-  /// barrier) so the baseline is exact.
-  void reset_epoch() {
-    std::lock_guard<std::mutex> g(mu_);
-    base_.assign(names_.size(), 0);
-    for (Id i = 0; i < names_.size(); ++i) {
-      for (const auto& s : shards_) base_[i] += s->get(i);
-    }
-    gauge_base_ = gauges_;
-  }
-
-  /// Every counter (summed over shards) and gauge, sorted by name —
-  /// relative to the last reset_epoch(), if any.
+  /// Every counter (summed over shards) and gauge, sorted by name.
   Report report() const {
     std::lock_guard<std::mutex> g(mu_);
     Report r;
     for (Id i = 0; i < names_.size(); ++i) {
       std::uint64_t sum = 0;
       for (const auto& s : shards_) sum += s->get(i);
-      r.entries.emplace_back(names_[i], epoch_adjust(i, sum));
+      r.entries.emplace_back(names_[i], sum);
     }
     for (const auto& [k, v] : gauges_) {
-      const std::uint64_t gv = gauge_adjust(k, v);
       bool merged = false;
       for (auto& [rk, rv] : r.entries) {
         if (rk == k) {
-          rv += gv;
+          rv += v;
           merged = true;
           break;
         }
       }
-      if (!merged) r.entries.emplace_back(k, gv);
+      if (!merged) r.entries.emplace_back(k, v);
     }
     std::sort(r.entries.begin(), r.entries.end());
     return r;
@@ -235,33 +217,19 @@ class Registry {
   }
 
  private:
-  /// Counter `i`'s raw cross-shard sum shifted to the current epoch.
-  std::uint64_t epoch_adjust(Id i, std::uint64_t sum) const noexcept {
-    const std::uint64_t b = i < base_.size() ? base_[i] : 0;
-    return sum > b ? sum - b : 0;
-  }
-  std::uint64_t gauge_adjust(std::string_view name,
-                             std::uint64_t v) const noexcept {
-    for (const auto& [k, b] : gauge_base_) {
-      if (k == name) return v > b ? v - b : 0;
-    }
-    return v;
-  }
-
   std::uint64_t total_locked(std::string_view name) const {
     for (Id i = 0; i < names_.size(); ++i) {
       if (names_[i] == name) {
         std::uint64_t sum = 0;
         for (const auto& s : shards_) sum += s->get(i);
-        sum = epoch_adjust(i, sum);
         for (const auto& [k, v] : gauges_) {
-          if (k == name) sum += gauge_adjust(k, v);
+          if (k == name) sum += v;
         }
         return sum;
       }
     }
     for (const auto& [k, v] : gauges_) {
-      if (k == name) return gauge_adjust(k, v);
+      if (k == name) return v;
     }
     return 0;
   }
@@ -271,8 +239,6 @@ class Registry {
   std::vector<std::string> hist_names_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::pair<std::string, std::uint64_t>> gauges_;
-  std::vector<std::uint64_t> base_;  // per-counter epoch baselines
-  std::vector<std::pair<std::string, std::uint64_t>> gauge_base_;
 
   static thread_local Shard* tls_shard_;
 };

@@ -1,7 +1,8 @@
 // Summary exporter: reduce a flushed trace to per-track statistics and a
-// machine-readable JSON report.  Layered on common/stats.hpp — the same
-// RunningStats the benches already use — so a bench can print its table
-// from exactly the numbers it serializes.
+// machine-readable JSON report.  Span durations go into trace::Histogram,
+// the same engine behind the registry's lat.* histograms and the benches'
+// medians, so a bench can print its table from exactly the numbers it
+// serializes.
 #pragma once
 
 #include <array>
@@ -10,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
+#include "trace/histogram.hpp"
 #include "trace/json.hpp"
 #include "trace/registry.hpp"
 #include "trace/session.hpp"
@@ -51,8 +52,8 @@ struct TrackSummary {
   std::uint64_t dropped = 0;
   std::uint64_t first_ns = 0, last_ns = 0;
   std::array<std::uint64_t, kEventKindCount> kind_counts{};
-  RunningStats handler_ns;  ///< handler span durations
-  RunningStats idle_ns;     ///< idle-poll span durations
+  Histogram handler_ns;  ///< handler span durations
+  Histogram idle_ns;     ///< idle-poll span durations
   double busy_fraction = 0;  ///< handler+phase time / track extent
 };
 
@@ -82,14 +83,14 @@ inline Summary summarize(const FlatTrace& trace) {
     }
     std::uint64_t busy = 0;
     for (const Span& sp : extract_spans(tr, EventKind::kHandlerBegin)) {
-      t.handler_ns.add(static_cast<double>(sp.duration_ns()));
+      t.handler_ns.record(sp.duration_ns());
       busy += sp.duration_ns();
     }
     for (const Span& sp : extract_spans(tr, EventKind::kPhaseBegin)) {
       busy += sp.duration_ns();
     }
     for (const Span& sp : extract_spans(tr, EventKind::kIdleBegin)) {
-      t.idle_ns.add(static_cast<double>(sp.duration_ns()));
+      t.idle_ns.record(sp.duration_ns());
     }
     const std::uint64_t extent = t.last_ns - t.first_ns;
     t.busy_fraction =
@@ -102,13 +103,14 @@ inline Summary summarize(const FlatTrace& trace) {
 }
 
 namespace detail {
-inline void write_stats(JsonWriter& w, const RunningStats& st) {
+inline void write_stats(JsonWriter& w, const Histogram& h) {
   w.begin_object();
-  w.kv("count", static_cast<std::uint64_t>(st.count()));
-  w.kv("mean", st.mean());
-  w.kv("min", st.min());
-  w.kv("max", st.max());
-  w.kv("stddev", st.stddev());
+  w.kv("count", h.count());
+  w.kv("mean", h.mean());
+  w.kv("min", h.min());
+  w.kv("max", h.max());
+  w.kv("p50", h.percentile(0.50));
+  w.kv("p99", h.percentile(0.99));
   w.end_object();
 }
 }  // namespace detail

@@ -79,7 +79,7 @@ class Router {
     cvs::MsgHeader& h = m->header();
     if (h.handler == handler_) return false;  // batches never re-batch
     trace::Registry::Shard* sh = pe.counters_shard();
-    if (h.payload_bytes > cfg_.max_msg_bytes) {
+    if (h.payload_bytes > kMaxMsgBytes) {
       sh->add(mach_.tram_ids().bypass_oversize);
       return false;
     }

@@ -9,17 +9,17 @@
 
 namespace bgq::tram {
 
+/// Only messages with payloads up to this size are aggregated; larger
+/// ones bypass straight to the direct eager/rendezvous path (the copy
+/// would cost more than the per-message overhead it saves).
+inline constexpr std::size_t kMaxMsgBytes = 512;
+
 /// Streaming-aggregation knobs.  Aggregation is opt-in: a default
 /// Config leaves every send on the direct path.
 struct Config {
   /// Master switch: coalesce small remote sends into per-destination
   /// batch buffers.
   bool enabled = false;
-
-  /// Only messages with payloads up to this size are aggregated; larger
-  /// ones bypass straight to the direct eager/rendezvous path (the
-  /// copy would cost more than the per-message overhead it saves).
-  std::size_t max_msg_bytes = 512;
 
   /// Flush a destination's buffer once its records reach this many
   /// bytes.  Clamped at runtime so a full batch still fits the eager

@@ -16,7 +16,8 @@
 //   * BagQueueSpec   — the Charm++ L2AtomicQueue: no inter-producer order
 //                      (§III-A: "Charm++ does not have any ordering
 //                      requirement"), so the spec is a multiset;
-//   * FifoQueueSpec  — OrderedL2Queue / SpscRing: strict global FIFO;
+//   * FifoQueueSpec  — OrderedL2Queue / transport ShmRingView: strict
+//                      global FIFO;
 //   * AllocSpec      — pool allocator: a live buffer is owned by exactly
 //                      one caller between alloc and free;
 //   * GateSpec       — wakeup gate epochs: prepare snapshots the epoch,

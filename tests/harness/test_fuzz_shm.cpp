@@ -5,6 +5,8 @@
 // inside the racy windows — between the data memcpy and the index
 // publication — and prove the Lamport protocol holds there:
 //
+//   * pushes and consumes of fixed 8-byte frames, recorded as a
+//     History, linearize against the strict-FIFO queue spec;
 //   * the consumer sees a byte stream equal to the concatenation of the
 //     pushed frames, in order (FIFO, never torn, never duplicated);
 //   * a frame is visible all-or-nothing: a successful header peek means
@@ -23,6 +25,7 @@
 #include "harness_util.hpp"
 #include "test_seed.hpp"
 #include "transport/shm_ring.hpp"
+#include "verify/linearize.hpp"
 #include "verify/scheduler.hpp"
 
 namespace {
@@ -30,11 +33,16 @@ namespace {
 using bgq::harness::describe_run;
 using bgq::harness::run_schedule;
 using bgq::harness::RunOptions;
+using bgq::harness::RunResult;
 using bgq::test_support::announce_seed;
 using bgq::test_support::harness_scale;
 using bgq::transport::ShmRingCtrl;
 using bgq::transport::ShmRingView;
 using bgq::verify::exhaust_schedules;
+using bgq::verify::FifoQueueSpec;
+using bgq::verify::History;
+using bgq::verify::LinResult;
+using bgq::verify::OpKind;
 
 /// Deterministic body byte for frame `f`, offset `j`.
 std::uint8_t body_byte(std::size_t f, std::size_t j) {
@@ -168,6 +176,104 @@ TEST(FuzzShmRing, ExhaustiveSmallBound) {
   // the ring's schedule points are dead in this build.
   EXPECT_GT(runs, 50u);
   std::fprintf(stderr, "[ EXHAUST  ] ShmRing: %llu schedules\n",
+               static_cast<unsigned long long>(runs));
+}
+
+struct FifoOutcome {
+  RunResult run;
+  LinResult lin;
+};
+
+/// One schedule of a producer pushing values 1..n as fixed 8-byte frames
+/// through a `cap`-byte ring and a consumer peeking and consuming them;
+/// each side gives up after `max_tries` attempts, so a schedule that
+/// starves one side ends instead of livelocking.  Each completed push and
+/// consume is recorded in a History; a push retried on a full ring or a
+/// poll retried on an empty one stays one open operation until it
+/// succeeds (an abandoned one drops out), so the history holds at most
+/// 2n+1 ops.  The history, closed by a final empty dequeue, is checked
+/// against the strict-FIFO spec.
+FifoOutcome fifo_frames_once(std::size_t cap, std::uint64_t n, int max_tries,
+                             const RunOptions& ro) {
+  ShmRingCtrl ctrl;
+  std::vector<std::byte> data(cap);
+  ShmRingView ring(&ctrl, data.data(), cap);
+  History h(64);
+  std::vector<std::function<void()>> bodies;
+  bodies.emplace_back([&] {
+    std::uint64_t v = 1;
+    History::Handle hd = History::kNoHandle;
+    for (int tries = 0; v <= n && tries < max_tries; ++tries) {
+      if (hd == History::kNoHandle) hd = h.begin(0, OpKind::kEnqueue, v);
+      if (ring.try_push(reinterpret_cast<const std::byte*>(&v), sizeof v)) {
+        h.end(hd);
+        hd = History::kNoHandle;
+        ++v;
+      }
+    }
+  });
+  bodies.emplace_back([&] {
+    std::uint64_t got = 0;
+    History::Handle hd = History::kNoHandle;
+    for (int tries = 0; got < n && tries < max_tries; ++tries) {
+      if (hd == History::kNoHandle) hd = h.begin(1, OpKind::kDequeue);
+      std::uint64_t v = 0;
+      if (ring.peek(0, reinterpret_cast<std::byte*>(&v), sizeof v)) {
+        ring.consume(sizeof v);
+        h.end(hd, v);
+        hd = History::kNoHandle;
+        ++got;
+      }
+    }
+  });
+  FifoOutcome out;
+  out.run = run_schedule(ro, bodies);
+  h.record(2, OpKind::kDequeueEmpty);
+  out.lin = bgq::verify::check_linearizable<FifoQueueSpec>(h.ops());
+  return out;
+}
+
+// Two 8-byte frames fit, so the ring is full or empty at most steps; the
+// 4 spare bytes shift each frame's offset, so some frames straddle the
+// end of the ring and take the wrapping copy path.
+constexpr std::size_t kFifoCap = 20;
+
+TEST(FuzzShmRing, FixedFramesAreFifoUnderFuzzedSchedules) {
+  const std::uint64_t base = announce_seed("FuzzShmRing.FifoSpec", 0x5B5C);
+  const std::uint64_t n =
+      std::max<std::uint64_t>(2000 / harness_scale(), 10);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    RunOptions ro;
+    ro.seed = base + i;
+    const FifoOutcome out = fifo_frames_once(kFifoCap, 6, 600, ro);
+    ASSERT_FALSE(out.run.deadlocked) << describe_run(ro.seed, out.run);
+    ASSERT_TRUE(out.lin.ok()) << describe_run(ro.seed, out.run) << "\n"
+                              << out.lin.message;
+  }
+}
+
+TEST(FuzzShmRing, ExhaustiveSmallBoundFixedFramesAreFifo) {
+  std::uint64_t violations = 0;
+  std::string first_bad;
+  const std::uint64_t runs = exhaust_schedules(
+      12, 30000, [&](const std::vector<std::uint8_t>& prefix) {
+        RunOptions ro;
+        ro.seed = 11;
+        ro.replay = &prefix;
+        ro.deterministic_fallback = true;
+        const FifoOutcome out = fifo_frames_once(kFifoCap, 3, 200, ro);
+        if (!out.lin.ok() || out.run.deadlocked) {
+          ++violations;
+          if (first_bad.empty()) {
+            first_bad =
+                describe_run(ro.seed, out.run) + "\n" + out.lin.message;
+          }
+        }
+        return out.run.trace;
+      });
+  EXPECT_EQ(violations, 0u) << first_bad;
+  EXPECT_GT(runs, 50u);
+  std::fprintf(stderr, "[ EXHAUST  ] ShmRing FIFO spec: %llu schedules\n",
                static_cast<unsigned long long>(runs));
 }
 

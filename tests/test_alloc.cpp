@@ -214,4 +214,31 @@ TEST(PoolAllocator, RejectsZeroThreads) {
   EXPECT_THROW(PoolAllocator(0), std::invalid_argument);
 }
 
+TEST(PoolAllocator, SteadyStateRecyclingIsAllPoolHits) {
+  // The §III-B steady state: buffers freed (from another thread slot, the
+  // paper's receiver-frees-sender's-buffer pattern) return to the owner's
+  // pool, so subsequent allocations never touch the heap.
+  bgq::alloc::PoolAllocator a(2, 256);
+  constexpr int kRounds = 500;
+  constexpr int kBatch = 32;
+
+  // Warm: one batch through the cycle populates the pool.
+  std::vector<void*> bufs;
+  for (int i = 0; i < kBatch; ++i) bufs.push_back(a.allocate(0, 128));
+  for (void* p : bufs) a.deallocate(1, p);  // cross-thread free
+  const auto heap_before = a.heap_allocs();
+  const auto hits_before = a.pool_hits();
+
+  for (int round = 0; round < kRounds; ++round) {
+    bufs.clear();
+    for (int i = 0; i < kBatch; ++i) bufs.push_back(a.allocate(0, 128));
+    for (void* p : bufs) a.deallocate(1, p);
+  }
+
+  EXPECT_EQ(a.heap_allocs(), heap_before)
+      << "steady-state allocations must come from the pool";
+  EXPECT_EQ(a.pool_hits() - hits_before,
+            static_cast<std::uint64_t>(kRounds) * kBatch);
+}
+
 }  // namespace

@@ -198,6 +198,16 @@ TEST(Analyzer, RejectsWrongSchema) {
                    R"({"schema":"not-a-trace","tracks":[]})"),
                std::exception);
   EXPECT_THROW(bgq::trace::read_flat_trace("{nonsense"), std::exception);
+  // Integer fields must hold a uint64: negative, fractional and 2^64+
+  // values are rejected, not converted.
+  for (const char* t : {"-5", "1.5", "1e20"}) {
+    const std::string doc =
+        std::string(R"({"schema":"bgq-trace-v1","tracks":[{"pid":0,"tid":0,)"
+                    R"("name":"pe0","dropped":0,"high_water":0,)"
+                    R"("events":[{"t":)") +
+        t + R"(,"k":0,"a":0}]}]})";
+    EXPECT_THROW(bgq::trace::read_flat_trace(doc), std::runtime_error) << t;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 // Tests for src/common utilities.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "common/cacheline.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
+#include "common/spin.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
 
@@ -90,50 +93,6 @@ TEST(Rng, GaussianMomentsRoughlyStandard) {
   EXPECT_NEAR(sq / kN, 1.0, 0.03);
 }
 
-TEST(Stats, RunningStatsBasic) {
-  bgq::RunningStats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-}
-
-TEST(Stats, MergeMatchesCombinedStream) {
-  bgq::RunningStats a, b, all;
-  bgq::Xoshiro256 r(3);
-  for (int i = 0; i < 500; ++i) {
-    const double x = r.uniform(0, 10);
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(Stats, SampleSetPercentiles) {
-  bgq::SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(s.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(s.percentile(90), 90.1, 1e-9);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-}
-
-TEST(Stats, EmptySetsAreSafe) {
-  bgq::SampleSet s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.median(), 0.0);
-  bgq::RunningStats rs;
-  EXPECT_EQ(rs.mean(), 0.0);
-  EXPECT_EQ(rs.stddev(), 0.0);
-}
-
 TEST(Timing, TimerMeasuresForwardTime) {
   bgq::Timer t;
   volatile double sink = 0;
@@ -154,6 +113,31 @@ TEST(Table, PrintsAlignedRows) {
   EXPECT_NE(out.find("3030"), std::string::npos);
   EXPECT_NE(out.find("1826"), std::string::npos);
   EXPECT_NE(out.find("583"), std::string::npos);
+}
+
+TEST(Spin, BackoffEscalatesToYield) {
+  bgq::Backoff b;
+  EXPECT_FALSE(b.saturated());
+  for (int i = 0; i < 10; ++i) b.pause();
+  EXPECT_TRUE(b.saturated());
+  b.reset();
+  EXPECT_FALSE(b.saturated());
+}
+
+TEST(Spin, SpinUntilObservesFlagUnderEveryPolicy) {
+  using bgq::IdlePollPolicy;
+  for (auto policy : {IdlePollPolicy::kHotSpin, IdlePollPolicy::kL2Paced,
+                      IdlePollPolicy::kOsYield}) {
+    std::atomic<bool> flag{false};
+    std::thread setter([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      flag.store(true, std::memory_order_release);
+    });
+    bgq::spin_until(
+        [&] { return flag.load(std::memory_order_acquire); }, policy);
+    setter.join();
+    SUCCEED();
+  }
 }
 
 }  // namespace

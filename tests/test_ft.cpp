@@ -180,32 +180,6 @@ TEST(FaultPlanCrashDeathTest, BadEnvPlanRejectsAndExits) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry::reset_epoch
-// ---------------------------------------------------------------------------
-
-TEST(RegistryEpoch, ResetRebasesCountersAndGauges) {
-  bgq::trace::Registry reg;
-  const auto id = reg.intern("pe.msgs.executed");
-  auto* shard = reg.make_shard("pe0");
-  shard->add(id, 40);
-  reg.set_gauge("ft.crashes", 2);
-  EXPECT_EQ(reg.report().value("pe.msgs.executed"), 40u);
-  EXPECT_EQ(reg.report().value("ft.crashes"), 2u);
-
-  reg.reset_epoch();
-  EXPECT_EQ(reg.report().value("pe.msgs.executed"), 0u)
-      << "post-reset reports are relative to the reset instant";
-  EXPECT_EQ(reg.report().value("ft.crashes"), 0u);
-
-  shard->add(id, 7);
-  reg.set_gauge("ft.crashes", 5);
-  EXPECT_EQ(reg.report().value("pe.msgs.executed"), 7u);
-  EXPECT_EQ(reg.report().value("ft.crashes"), 3u)
-      << "gauge deltas are relative to their reset baseline";
-  EXPECT_EQ(reg.total("pe.msgs.executed"), 7u);
-}
-
-// ---------------------------------------------------------------------------
 // Machine failure primitives
 // ---------------------------------------------------------------------------
 

@@ -392,4 +392,42 @@ TEST(FaultyFabric, DisabledPlanRemovesChaosLayer) {
   delete got;
 }
 
+TEST(FabricEndpoints, MultipleProcessesShareANode) {
+  Torus t({2});
+  Fabric f(t, NetworkParams{}, /*fifos=*/1, /*endpoints_per_node=*/4);
+  EXPECT_EQ(f.endpoint_count(), 8u);
+  EXPECT_EQ(f.node_of(0), 0u);
+  EXPECT_EQ(f.node_of(3), 0u);
+  EXPECT_EQ(f.node_of(4), 1u);
+  EXPECT_EQ(f.node_of(7), 1u);
+}
+
+TEST(FabricEndpoints, SameNodeLoopbackPaysOnlyBaseLatency) {
+  Torus t({2});
+  Fabric f(t, NetworkParams{}, 1, 2);
+  auto send = [&](bgq::topo::NodeId dst) {
+    auto* p = new Packet();
+    p->src = 0;
+    p->dst = dst;
+    p->payload.resize(32);
+    f.inject(p);
+    Packet* got = f.reception_fifo(dst, 0).poll();
+    const auto w = got->wire_ns;
+    delete got;
+    return w;
+  };
+  const auto same_node = send(1);   // endpoint 1: node 0 (loopback)
+  const auto next_node = send(2);   // endpoint 2: node 1 (one hop)
+  EXPECT_LE(same_node, next_node);
+  EXPECT_EQ(same_node, NetworkParams{}.wire_time_ns(32, 0));
+}
+
+TEST(NetworkParams, BgpIsSlowerThanBgq) {
+  const auto q = NetworkParams{};
+  const auto p = bgq::net::bgp_network_params();
+  EXPECT_GT(p.base_latency_ns, q.base_latency_ns);
+  EXPECT_LT(p.link_bandwidth_gb_s, q.link_bandwidth_gb_s);
+  EXPECT_GT(p.wire_time_ns(65536, 4), q.wire_time_ns(65536, 4));
+}
+
 }  // namespace

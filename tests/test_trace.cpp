@@ -425,6 +425,8 @@ TEST(TraceSummary, SummaryJsonRoundTrips) {
   const auto& t0 = *doc->at("tracks").arr[0];
   EXPECT_EQ(t0.at("name").str, "pe0");
   EXPECT_EQ(t0.at("kinds").at("handler").num, 1.0);
+  EXPECT_EQ(t0.at("handler_ns").at("p50").num, 300.0);
+  EXPECT_EQ(t0.at("idle_ns").at("p99").num, 100.0);
   EXPECT_EQ(doc->at("counters").at("pe.msgs.executed").num, 42.0);
 }
 

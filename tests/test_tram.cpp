@@ -181,7 +181,7 @@ TEST(TramRouter, IdleSenderFlushesOnTimeout) {
 }
 
 TEST(TramRouter, OversizedMessagesBypassAggregation) {
-  MachineConfig cfg = tram_config();  // default max_msg_bytes = 512
+  MachineConfig cfg = tram_config();  // kMaxMsgBytes = 512
   const FloodResult r = flood(cfg, 10, 1024);
   EXPECT_EQ(r.received, 10u);
   EXPECT_EQ(r.report.value("tram.bypass.oversize"), 11u);  // 10 + the ack

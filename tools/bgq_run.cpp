@@ -32,10 +32,13 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/json.hpp"
+#include "trace/json_read.hpp"
 #include "transport/shm.hpp"
 
 namespace {
@@ -156,26 +159,43 @@ struct Child {
   std::string stdout_text;
 };
 
-/// Scan `src` for `"key":` after `from` and parse the integer that
-/// follows.  Returns npos-sentinel false when absent.
-bool find_u64(const std::string& src, const std::string& key,
-              std::size_t from, std::uint64_t& out, std::size_t* at) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = src.find(needle, from);
-  if (pos == std::string::npos) return false;
-  out = std::strtoull(src.c_str() + pos + needle.size(), nullptr, 10);
-  if (at != nullptr) *at = pos + needle.size();
-  return true;
+/// Digest fields are the 16 lowercase hex digits bgq-app's hex64 writes.
+std::uint64_t parse_hex64(const std::string& s) {
+  if (s.size() != 16) throw std::runtime_error("bad digest \"" + s + "\"");
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    const int d = c >= '0' && c <= '9'   ? c - '0'
+                  : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                                         : -1;
+    if (d < 0) throw std::runtime_error("bad digest \"" + s + "\"");
+    v = v << 4 | static_cast<std::uint64_t>(d);
+  }
+  return v;
 }
 
-bool find_hex64(const std::string& src, const std::string& key,
-                std::size_t from, std::uint64_t& out, std::size_t* at) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = src.find(needle, from);
-  if (pos == std::string::npos) return false;
-  out = std::strtoull(src.c_str() + pos + needle.size(), nullptr, 16);
-  if (at != nullptr) *at = pos + needle.size();
-  return true;
+/// The fields of one rank's bgq-app-v1 report that the merge needs.
+struct RankReport {
+  bool finished = false;
+  std::uint64_t recoveries = 0;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> elements;  // i, digest
+};
+
+/// Read a rank's stdout with the strict JSON parser; throws on anything
+/// that is not a complete bgq-app-v1 report.
+RankReport read_report(const std::string& text) {
+  const auto doc = bgq::trace::json::parse(text);
+  if (doc->at("schema").str != "bgq-app-v1") {
+    throw std::runtime_error("schema is not bgq-app-v1");
+  }
+  RankReport r;
+  r.finished = doc->u64("finished") != 0;
+  r.recoveries = doc->at("metrics").u64("ft.recoveries");
+  const auto& elems = doc->at("elements");
+  if (!elems.is_array()) throw std::runtime_error("elements is not an array");
+  for (const auto& e : elems.arr) {
+    r.elements.emplace_back(e->u64("i"), parse_hex64(e->at("digest").str));
+  }
+  return r;
 }
 
 }  // namespace
@@ -341,26 +361,18 @@ int main(int argc, char** argv) {
       ok = false;
       continue;
     }
-    const std::string& out = k.stdout_text;
-    if (out.find("\"schema\":\"bgq-app-v1\"") == std::string::npos) {
-      std::fprintf(stderr, "bgq-run: rank %u produced no report\n", r);
+    RankReport rep;
+    try {
+      rep = read_report(k.stdout_text);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bgq-run: rank %u report does not parse: %s\n", r,
+                   e.what());
       ok = false;
       continue;
     }
-    std::uint64_t fin = 0;
-    if (find_u64(out, "finished", 0, fin, nullptr) && fin != 0) {
-      any_finished = true;
-    }
-    std::uint64_t rec = 0;
-    if (find_u64(out, "ft.recoveries", 0, rec, nullptr)) recoveries += rec;
-    // Walk the elements array: pairs of "i" and "digest" keys.
-    auto pos = out.find("\"elements\":[");
-    const auto end = out.find(']', pos);
-    while (pos != std::string::npos) {
-      std::uint64_t idx = 0, dig = 0;
-      std::size_t at_i = 0, at_d = 0;
-      if (!find_u64(out, "i", pos + 1, idx, &at_i) || at_i >= end) break;
-      if (!find_hex64(out, "digest", at_i, dig, &at_d) || at_d >= end) break;
+    any_finished = any_finished || rep.finished;
+    recoveries += rep.recoveries;
+    for (const auto& [idx, dig] : rep.elements) {
       const auto [it, inserted] = elements.emplace(idx, dig);
       if (!inserted && it->second != dig) {
         std::fprintf(stderr,
@@ -369,7 +381,6 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(idx));
         ok = false;
       }
-      pos = at_d;
     }
   }
   if (!any_finished) {
