@@ -121,14 +121,17 @@ cvs::MachineConfig mode_config(cvs::Mode mode);
 /// tracing on, dump the bgq-trace-v1 flat trace, and print the analyzer's
 /// per-hop decomposition inline.  The per-hop percentiles (from the online
 /// lat.* histograms) and the hop-sum/end-to-end coverage land in the JSON
-/// report so CI can assert the decomposition telescopes.
-void run_traced(bench::JsonReport& json, const std::string& trace_path,
+/// report so CI can assert the decomposition telescopes.  Returns false
+/// when the pass traced no complete message or the trace file could not
+/// be written: a decomposition of nothing must not look like a success.
+bool run_traced(bench::JsonReport& json, const std::string& trace_path,
                 int rounds) {
   std::printf("\n== traced run: message-lifecycle decomposition "
               "(SMP, inter-node, 512 B) ==\n");
   std::fflush(stdout);
   cvs::MachineConfig cfg = mode_config(cvs::Mode::kSmp);
   cfg.trace_events = true;
+  bool ok = true;
   run_pingpong(cfg, 512, rounds, false, [&](cvs::Machine& m) {
     for (const auto& [name, h] : m.metrics().hist_report()) {
       if (h.count() == 0) continue;
@@ -146,6 +149,11 @@ void run_traced(bench::JsonReport& json, const std::string& trace_path,
              static_cast<std::uint64_t>(an.decomp.end_to_end_sum_ns));
     json.add("traced.hop_sum_ns",
              static_cast<std::uint64_t>(an.decomp.hop_sum_ns()));
+    if (an.decomp.messages == 0) {
+      std::fprintf(stderr, "bench_pingpong: traced pass saw no complete "
+                           "message lifecycle\n");
+      ok = false;
+    }
     if (!trace_path.empty()) {
       std::ofstream f(trace_path);
       if (f) {
@@ -155,9 +163,11 @@ void run_traced(bench::JsonReport& json, const std::string& trace_path,
       } else {
         std::fprintf(stderr, "bench_pingpong: cannot write %s\n",
                      trace_path.c_str());
+        ok = false;
       }
     }
   });
+  return ok;
 }
 
 cvs::MachineConfig mode_config(cvs::Mode mode) {
@@ -295,11 +305,14 @@ int main(int argc, char** argv) {
   // --trace runs the traced decomposition and writes the flat trace; a
   // --json report always includes the lat.* percentiles, so run the
   // traced pass (without the file) for it too.
+  bool traced_ok = true;
   if (want_trace || json.enabled()) {
-    run_traced(json, want_trace ? trace_path : std::string(), kRounds);
+    traced_ok =
+        run_traced(json, want_trace ? trace_path : std::string(), kRounds);
   }
   for (std::size_t i = 0; i < std::size(kNetKeys); ++i) {
     json.add(kNetKeys[i], g_net[i]);
   }
-  return json.write();
+  const int rc = json.write();
+  return traced_ok ? rc : 1;
 }

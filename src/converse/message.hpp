@@ -6,14 +6,10 @@
 // pointer exchange"); across processes the header travels as PAMI
 // metadata and the payload as the PAMI payload.
 //
-// The header has two compile-time layouts.  Trace-off builds (the
-// default) carry only what delivery needs — 16 bytes, half the metadata
-// on every wire packet and every batch record.  Builds configured with
-// -DBGQ_TRACE grow it to 32 bytes with the causal trace id and the
-// hop-to-hop timestamp, which is what the message-lifecycle analyzer
-// feeds on.  All code reads the trace fields through the cid()/stamp()
-// accessors below, which compile to constants when the fields are absent,
-// so the runtime has exactly one source tree for both layouts.
+// The header is 32 bytes: what delivery needs plus the causal trace id
+// and the hop-to-hop timestamp the message-lifecycle analyzer feeds on.
+// Tracing is a run-time choice (MachineConfig::trace_events); an untraced
+// message keeps trace_id == 0 and no hop reads or writes stamp_ns.
 #pragma once
 
 #include <cstddef>
@@ -28,13 +24,6 @@ using PeRank = std::uint32_t;
 using HandlerId = std::uint16_t;
 
 struct alignas(16) MsgHeader {
-  /// True when this build carries the causal-trace fields (BGQ_TRACE).
-#if defined(BGQ_TRACE)
-  static constexpr bool kTraced = true;
-#else
-  static constexpr bool kTraced = false;
-#endif
-
   std::uint32_t payload_bytes = 0;
   HandlerId handler = 0;
   /// Checkpoint epoch the message belongs to (fault-tolerant machines
@@ -46,7 +35,6 @@ struct alignas(16) MsgHeader {
   PeRank src_pe = 0;
   PeRank dst_pe = 0;
 
-#if defined(BGQ_TRACE)
   /// Causal trace id, stamped at send time when tracing is on; 0 means
   /// untraced.  Encoded as ((src_pe+1) << 32) | seq so it stays below
   /// 2^53 (exactly representable in the JSON exports' doubles) for any
@@ -56,41 +44,8 @@ struct alignas(16) MsgHeader {
   /// each stage can compute its latency with both endpoints visible on
   /// one thread (no cross-thread clock handoff; travels as metadata).
   std::uint64_t stamp_ns = 0;
-#endif
-
-  // Accessors valid in both layouts: reads are 0 and writes vanish when
-  // the build carries no trace fields, so every call site stays
-  // branch-free-correct without its own #if.
-  std::uint64_t cid() const noexcept {
-#if defined(BGQ_TRACE)
-    return trace_id;
-#else
-    return 0;
-#endif
-  }
-  void set_cid(std::uint64_t id) noexcept {
-#if defined(BGQ_TRACE)
-    trace_id = id;
-#else
-    (void)id;
-#endif
-  }
-  std::uint64_t stamp() const noexcept {
-#if defined(BGQ_TRACE)
-    return stamp_ns;
-#else
-    return 0;
-#endif
-  }
-  void set_stamp(std::uint64_t t) noexcept {
-#if defined(BGQ_TRACE)
-    stamp_ns = t;
-#else
-    (void)t;
-#endif
-  }
 };
-static_assert(sizeof(MsgHeader) == (MsgHeader::kTraced ? 32 : 16));
+static_assert(sizeof(MsgHeader) == 32);
 
 /// A Converse message.  Never constructed directly — allocated by
 /// Pe::alloc_message / Process::alloc_message so the buffer comes from the

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "trace/trace.hpp"
+#include "trace/session.hpp"
 #include "verify/schedule_point.hpp"
 
 namespace bgq::pami {
@@ -66,7 +66,8 @@ void CommThreadPool::run(unsigned tid) {
     for (Context* c : mine) events += c->advance();
     sweeps_.fetch_add(1, std::memory_order_relaxed);
     if (events != 0) {
-      BGQ_TRACE_EVENT(::bgq::trace::EventKind::kCommAdvance, events);
+      trace::emit_here(trace::EventKind::kCommAdvance,
+                       static_cast<std::uint32_t>(events));
       continue;
     }
 
@@ -82,7 +83,7 @@ void CommThreadPool::run(unsigned tid) {
       continue;
     }
     parks_.fetch_add(1, std::memory_order_relaxed);
-    BGQ_TRACE_EVENT(::bgq::trace::EventKind::kParkBegin, tid);
+    trace::emit_here(trace::EventKind::kParkBegin, tid);
     // With reliability timers armed (unacked packets / a backpressure
     // backlog on a context we advance) the park must have a deadline: a
     // lost ack never produces a wake(), only a retransmit timeout.
@@ -93,7 +94,7 @@ void CommThreadPool::run(unsigned tid) {
     } else {
       gate.commit_wait(seen);
     }
-    BGQ_TRACE_EVENT(::bgq::trace::EventKind::kParkEnd, tid);
+    trace::emit_here(trace::EventKind::kParkEnd, tid);
   }
 }
 

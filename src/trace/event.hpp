@@ -37,7 +37,7 @@ enum class EventKind : std::uint8_t {
   kHandlerEnd,       ///< span; arg = handler id
   kIdleBegin,        ///< span; idle-poll interval opened
   kIdleEnd,          ///< span; work found again
-  // Lockless core (compiled in only with -DBGQ_TRACE).
+  // Lockless core (emitted only by threads bound to a trace ring).
   kQueueSpill,       ///< instant; lockless ring full, overflow spill
   kAllocPoolHit,     ///< instant; arg = size class
   kAllocHeapGrow,    ///< instant; pool empty, buffer from heap; arg = class

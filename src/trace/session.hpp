@@ -152,9 +152,8 @@ class Session {
 inline thread_local EventRing* Session::tls_ring_ = nullptr;
 
 /// Emit into the calling thread's bound ring, stamping host time — taken
-/// lazily so an unbound thread pays no clock read.  The always-compiled
-/// runtime emit sites use this directly; the BGQ_TRACE macros expand to
-/// it only when tracing is compiled in.
+/// lazily so an unbound thread pays no clock read.  The lockless-core
+/// emit sites (queue, allocator, wakeup, comm threads) call this directly.
 inline void emit_here(EventKind kind, std::uint32_t arg) noexcept {
   if (EventRing* r = Session::thread_ring()) r->emit({now_ns(), arg, kind});
 }

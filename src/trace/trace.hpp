@@ -1,18 +1,12 @@
-// Umbrella header + the compile-time instrumentation gate.
+// Umbrella header for the tracing subsystem.
 //
-// Two gating levels, deliberately different:
-//
-//   * Machine-layer events (message enqueue/dequeue, handler begin/end,
-//     idle transitions, MD phases) are always compiled and runtime-gated:
-//     the emit site checks a ring pointer that is null unless the run was
-//     configured with tracing on (MachineConfig::trace_events).  This is
-//     the same cost shape as the old `if (trace_enabled_)` branch.
-//
-//   * Lockless-core micro events (queue spills, allocator grow/spill,
-//     comm-thread advance/park, gate wakeups) sit on paths measured in
-//     nanoseconds, so their BGQ_TRACE_* macros compile to nothing unless
-//     the build defines BGQ_TRACE (CMake: -DBGQ_TRACE=ON).  With the
-//     option off, bench_queue/bench_pingpong see bit-identical hot paths.
+// Every emit site is compiled in and gated at run time: machine-layer
+// events check the PE's ring pointer, and the lockless-core micro events
+// (queue spills, allocator grow/spill, comm-thread advance/park, gate
+// wakeups) call emit_here, which checks the calling thread's bound ring.
+// Both pointers are null unless the run was configured with tracing on
+// (MachineConfig::trace_events), so an untraced run pays one load and a
+// not-taken branch per site.
 //
 // Emitting never blocks and never allocates: a full ring counts a drop
 // and moves on (ring.hpp).
@@ -28,22 +22,3 @@
 #include "trace/session.hpp"
 #include "trace/summary.hpp"
 #include "trace/trace_io.hpp"
-
-namespace bgq::trace {
-
-#if defined(BGQ_TRACE)
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
-
-}  // namespace bgq::trace
-
-#if defined(BGQ_TRACE)
-/// Instant event on the calling thread's bound ring, stamped with host
-/// time.  No-op (and zero code) for unbound threads or disabled builds.
-#define BGQ_TRACE_EVENT(kind, arg) \
-  ::bgq::trace::emit_here((kind), static_cast<std::uint32_t>(arg))
-#else
-#define BGQ_TRACE_EVENT(kind, arg) ((void)0)
-#endif

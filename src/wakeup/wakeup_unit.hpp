@@ -25,7 +25,7 @@
 
 #include "common/cacheline.hpp"
 #include "common/spin.hpp"
-#include "trace/trace.hpp"
+#include "trace/session.hpp"
 #include "verify/schedule_point.hpp"
 
 namespace bgq::wakeup {
@@ -105,7 +105,7 @@ class alignas(kL2Line) WaitGate {
     epoch_.fetch_add(1, std::memory_order_seq_cst);
     BGQ_SCHED_POINT("gate.wake.bumped");
     if (waiters_.load(std::memory_order_seq_cst) == 0) return;
-    BGQ_TRACE_EVENT(::bgq::trace::EventKind::kGateWake, 1);
+    trace::emit_here(trace::EventKind::kGateWake, 1);
     {
       // Empty critical section pairs the epoch bump with the cv wait so a
       // waiter cannot slip between its predicate check and its sleep.

@@ -120,7 +120,13 @@ FuzzOutcome fuzz_once(std::uint64_t seed, const std::string& plan_spec) {
       p.dispatch = kDispatch;
       p.payload = w.data();
       p.payload_bytes = w.bytes();
-      ctx.send_immediate(p);
+      // Same choice as Process::send_on_context: a batch too big for an
+      // immediate send goes as a plain (copying) send.
+      if (p.metadata_bytes + p.payload_bytes <= Context::kImmediateMax) {
+        ctx.send_immediate(p);
+      } else {
+        ctx.send(p);
+      }
       w.clear();
     }
     for (std::uint64_t iter = 0;; ++iter) {

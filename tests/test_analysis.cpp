@@ -295,35 +295,30 @@ TEST(CausalTrace, ExactlyOnceSpansUnderDropDupRetransmit) {
   const FlatTrace& flat = machine.trace_session().collect();
   ASSERT_EQ(flat.total_dropped(), 0u) << "rings sized too small for test";
 
-  // Causal-lifecycle assertions need the cid header fields, which only
-  // BGQ_TRACE builds carry (the lean 16-byte header has nowhere to stamp
-  // them).  The delivery/retransmit/ring checks above ran either way.
-  if constexpr (bgq::cvs::MsgHeader::kTraced) {
-    // Exactly-once: despite wire-level dups and retransmits, no cid may be
-    // received past dedup or dispatched to its handler more than once.
-    std::unordered_map<std::uint64_t, int> recvs, handled;
-    for (const Track& tr : flat.tracks) {
-      for (const Event& e : tr.events) {
-        if (e.cid == 0) continue;
-        if (e.kind == EventKind::kMsgRecv) ++recvs[e.cid];
-        if (e.kind == EventKind::kHandlerBegin) ++handled[e.cid];
-      }
+  // Exactly-once: despite wire-level dups and retransmits, no cid may be
+  // received past dedup or dispatched to its handler more than once.
+  std::unordered_map<std::uint64_t, int> recvs, handled;
+  for (const Track& tr : flat.tracks) {
+    for (const Event& e : tr.events) {
+      if (e.cid == 0) continue;
+      if (e.kind == EventKind::kMsgRecv) ++recvs[e.cid];
+      if (e.kind == EventKind::kHandlerBegin) ++handled[e.cid];
     }
-    for (const auto& [cid, n] : recvs) {
-      EXPECT_EQ(n, 1) << "cid " << cid << " passed dedup " << n << " times";
-    }
-    for (const auto& [cid, n] : handled) {
-      EXPECT_EQ(n, 1) << "cid " << cid << " dispatched " << n << " times";
-    }
-
-    // The analyzer folds retransmit detours into counters, never into the
-    // segment math: the hop sum still telescopes exactly.
-    const bgq::trace::Analysis an = bgq::trace::analyze(flat);
-    EXPECT_GE(an.decomp.messages, senders * kPer);
-    EXPECT_GT(an.decomp.retransmitted, 0u)
-        << "retransmitted lifecycles must be visible to the analyzer";
-    EXPECT_EQ(an.decomp.hop_sum_ns(), an.decomp.end_to_end_sum_ns);
   }
+  for (const auto& [cid, n] : recvs) {
+    EXPECT_EQ(n, 1) << "cid " << cid << " passed dedup " << n << " times";
+  }
+  for (const auto& [cid, n] : handled) {
+    EXPECT_EQ(n, 1) << "cid " << cid << " dispatched " << n << " times";
+  }
+
+  // The analyzer folds retransmit detours into counters, never into the
+  // segment math: the hop sum still telescopes exactly.
+  const bgq::trace::Analysis an = bgq::trace::analyze(flat);
+  EXPECT_GE(an.decomp.messages, senders * kPer);
+  EXPECT_GT(an.decomp.retransmitted, 0u)
+      << "retransmitted lifecycles must be visible to the analyzer";
+  EXPECT_EQ(an.decomp.hop_sum_ns(), an.decomp.end_to_end_sum_ns);
 }
 
 TEST(CausalTrace, TracingOffEmitsNoCidsAndZeroGauges) {
@@ -337,7 +332,7 @@ TEST(CausalTrace, TracingOffEmitsNoCidsAndZeroGauges) {
   std::atomic<int> got{0};
   const bgq::cvs::HandlerId h =
       machine.register_handler([&](bgq::cvs::Pe& pe, bgq::cvs::Message* m) {
-        EXPECT_EQ(m->header().cid(), 0u) << "trace off: no cid stamping";
+        EXPECT_EQ(m->header().trace_id, 0u) << "trace off: no cid stamping";
         pe.free_message(m);
         if (got.fetch_add(1) + 1 == 20) pe.exit_all();
       });

@@ -117,7 +117,6 @@ TEST(Recovery, FftSurvivesCrashBitIdentical) {
   EXPECT_GE(report.value("ft.recoveries"), 1u);
   EXPECT_GE(report.value("ft.crashes"), 1u);
   EXPECT_GT(report.value("ft.checkpoint_bytes"), 0u);
-  EXPECT_GT(report.value("net.blackholed"), 0u);
 }
 
 TEST(Recovery, FftSurvivesLeaderCrash) {

@@ -8,8 +8,10 @@
 //   bgq-prof <trace.json> --json out.json --text report.txt
 //   bgq-prof <trace.json> --bins 32  time-profile resolution
 //
-// Reads "-" as stdin.  Exit status is non-zero on unreadable input or a
-// malformed/mismatched schema, so CI can smoke-test traces by running it.
+// Reads "-" as stdin.  Exit status is non-zero on unreadable input, a
+// malformed/mismatched schema, or a trace with no complete message
+// lifecycle (an untraced run analyses to nothing and must not pass for
+// a clean one), so CI can smoke-test traces by running it.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -108,5 +110,10 @@ int main(int argc, char** argv) {
            [&](std::ostream& os) { bgq::trace::write_prof_json(os, analysis); }) &&
       emit(want_text, text_path,
            [&](std::ostream& os) { bgq::trace::write_prof_text(os, analysis); });
+  if (analysis.decomp.messages == 0) {
+    std::cerr << "bgq-prof: " << input
+              << " holds no complete message lifecycle\n";
+    return 1;
+  }
   return ok ? 0 : 1;
 }
