@@ -6,6 +6,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "trace/registry.hpp"
+
 namespace bgq::alloc {
 
 /// Thread identifier within one SMP node (worker PE or comm thread index).
@@ -29,6 +31,9 @@ class IAllocator {
 
   /// Number of registered threads.
   virtual ThreadId thread_count() const = 0;
+
+  /// Register this allocator's alloc.* counters for its lifetime.
+  virtual void register_metrics(trace::Registry& reg) = 0;
 };
 
 namespace detail {

@@ -120,4 +120,9 @@ std::uint64_t ArenaAllocator::contention_events() const {
   return total;
 }
 
+void ArenaAllocator::register_metrics(trace::Registry& reg) {
+  readers_ = reg.add_readers(
+      {{"alloc.arena.contention", [this] { return contention_events(); }}});
+}
+
 }  // namespace bgq::alloc

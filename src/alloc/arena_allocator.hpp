@@ -36,6 +36,8 @@ class ArenaAllocator final : public IAllocator {
   void* allocate(ThreadId tid, std::size_t bytes) override;
   void deallocate(ThreadId tid, void* p) override;
   ThreadId thread_count() const override { return nthreads_; }
+  /// alloc.arena.contention.
+  void register_metrics(trace::Registry& reg) override;
 
   std::size_t arena_count() const { return arenas_.size(); }
 
@@ -55,6 +57,7 @@ class ArenaAllocator final : public IAllocator {
 
   const ThreadId nthreads_;
   std::vector<Arena> arenas_;
+  trace::Registry::Readers readers_;  // last: unregistered before arenas_ go
 };
 
 }  // namespace bgq::alloc

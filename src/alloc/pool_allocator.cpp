@@ -247,36 +247,33 @@ void PoolAllocator::deallocate(ThreadId tid, void* p) {
   }
 }
 
-std::uint64_t PoolAllocator::pool_hits() const {
+std::uint64_t PoolAllocator::sum(
+    std::atomic<std::uint64_t> ThreadPools::*counter) const {
   std::uint64_t n = 0;
-  for (auto& tp : pools_) n += tp->pool_hits.load(std::memory_order_relaxed);
+  for (auto& tp : pools_) n += ((*tp).*counter).load(std::memory_order_relaxed);
   return n;
+}
+
+std::uint64_t PoolAllocator::pool_hits() const {
+  return sum(&ThreadPools::pool_hits);
 }
 
 std::uint64_t PoolAllocator::heap_allocs() const {
-  std::uint64_t n = 0;
-  for (auto& tp : pools_)
-    n += tp->heap_allocs.load(std::memory_order_relaxed);
-  return n;
+  return sum(&ThreadPools::heap_allocs);
 }
 
 std::uint64_t PoolAllocator::heap_frees() const {
-  std::uint64_t n = 0;
-  for (auto& tp : pools_) n += tp->heap_frees.load(std::memory_order_relaxed);
-  return n;
+  return sum(&ThreadPools::heap_frees);
 }
 
-std::uint64_t PoolAllocator::slab_hits() const {
-  std::uint64_t n = 0;
-  for (auto& tp : pools_) n += tp->slab_hits.load(std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t PoolAllocator::slab_carves() const {
-  std::uint64_t n = 0;
-  for (auto& tp : pools_)
-    n += tp->slab_carves.load(std::memory_order_relaxed);
-  return n;
+void PoolAllocator::register_metrics(trace::Registry& reg) {
+  readers_ = reg.add_readers({
+      {"alloc.pool.hits", [this] { return pool_hits(); }},
+      {"alloc.heap.allocs", [this] { return heap_allocs(); }},
+      {"alloc.heap.frees", [this] { return heap_frees(); }},
+      {"alloc.slab.hits", [this] { return sum(&ThreadPools::slab_hits); }},
+      {"alloc.slab.carves", [this] { return sum(&ThreadPools::slab_carves); }},
+  });
 }
 
 }  // namespace bgq::alloc

@@ -15,6 +15,7 @@
 // finds the pool full (the threshold) releases the buffer to the heap.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -48,23 +49,26 @@ class PoolAllocator final : public IAllocator {
   void* allocate(ThreadId tid, std::size_t bytes) override;
   void deallocate(ThreadId tid, void* p) override;
   ThreadId thread_count() const override { return nthreads_; }
+  /// alloc.pool.hits, alloc.heap.{allocs,frees}, alloc.slab.{hits,carves}.
+  void register_metrics(trace::Registry& reg) override;
 
   /// Observability for tests/benches.
   std::uint64_t pool_hits() const;   ///< allocs served from a pool
   std::uint64_t heap_allocs() const; ///< allocs that went to the heap
   std::uint64_t heap_frees() const;  ///< frees spilled past the threshold
-  std::uint64_t slab_hits() const;   ///< allocs served from slab memory
-  std::uint64_t slab_carves() const; ///< buffers carved from slab blocks
 
  private:
   struct ThreadPools;
 
   void* carve(ThreadPools& mine, ThreadId tid);
+  /// One per-thread counter summed over all threads.
+  std::uint64_t sum(std::atomic<std::uint64_t> ThreadPools::*counter) const;
 
   const ThreadId nthreads_;
   const std::size_t pool_slots_;
   const std::size_t slab_class_;
   std::vector<std::unique_ptr<ThreadPools>> pools_;  // one per thread
+  trace::Registry::Readers readers_;  // last: unregistered before pools_ go
 };
 
 }  // namespace bgq::alloc

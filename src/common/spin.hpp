@@ -64,16 +64,19 @@ inline void l2_paced_delay() noexcept {
   for (int i = 0; i < 8; ++i) cpu_relax();
 }
 
+/// One idle-poll pause between probes under the given pacing policy.
+inline void idle_pause(IdlePollPolicy policy) noexcept {
+  switch (policy) {
+    case IdlePollPolicy::kHotSpin: cpu_relax(); break;
+    case IdlePollPolicy::kL2Paced: l2_paced_delay(); break;
+    case IdlePollPolicy::kOsYield: std::this_thread::yield(); break;
+  }
+}
+
 /// Spin until `pred()` is true under the given pacing policy.
 template <typename Pred>
 void spin_until(Pred&& pred, IdlePollPolicy policy = IdlePollPolicy::kL2Paced) {
-  while (!pred()) {
-    switch (policy) {
-      case IdlePollPolicy::kHotSpin: cpu_relax(); break;
-      case IdlePollPolicy::kL2Paced: l2_paced_delay(); break;
-      case IdlePollPolicy::kOsYield: std::this_thread::yield(); break;
-    }
-  }
+  while (!pred()) idle_pause(policy);
 }
 
 }  // namespace bgq

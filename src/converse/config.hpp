@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/spin.hpp"
 #include "ft/config.hpp"
 #include "net/fault.hpp"
 #include "net/params.hpp"
@@ -46,11 +45,6 @@ struct MachineConfig {
 
   /// Use the lockless pool allocator (false: GNU-arena-style baseline).
   bool use_pool_allocator = true;
-
-  /// Idle-poll pacing (§III-D ablation).  Default OsYield: this host has
-  /// fewer cores than the runtime has threads, so yielding is what keeps
-  /// functional runs live; benches set L2Paced/HotSpin explicitly.
-  IdlePollPolicy idle_policy = IdlePollPolicy::kOsYield;
 
   /// Messages up to this payload size go eager; larger use the rendezvous
   /// rget protocol (§III: "For large messages, we explored a rendezvous

@@ -58,7 +58,7 @@ Pe::Pe(Process& process, PeRank rank, unsigned local_index)
   } else {
     mutex_queue_ = std::make_unique<queue::MutexQueue<void*>>();
   }
-  counters_ = mach.metrics().make_shard("pe" + std::to_string(rank_));
+  counters_ = mach.metrics().make_shard();
   ring_ = mach.trace_session().make_ring(
       static_cast<std::uint32_t>(process_.endpoint()), local_,
       "pe" + std::to_string(rank_));
@@ -210,7 +210,6 @@ bool Pe::pump_one() {
 
 void Pe::scheduler_loop() {
   Machine& mach = machine();
-  const IdlePollPolicy policy = mach.config().idle_policy;
   const CounterIds& ids = mach.counter_ids();
   const bool ft = mach.ft_armed();
   ft::Manager* mgr = ft ? mach.ft_manager() : nullptr;
@@ -218,26 +217,14 @@ void Pe::scheduler_loop() {
   bool idle = false;
   while (!mach.stopping()) {
     if (ft && mach.process_killed(process_.endpoint())) break;  // crashed
-    if (pump_one()) {
-      if (idle) {
-        idle = false;
-        if (ring_) ring_->emit({now_ns(), 0, trace::EventKind::kIdleEnd});
-      }
-      continue;
-    }
-    // No local work: flush aggregation buffers whose timeout expired —
-    // before FT protocol work, since quiescence counts staged records as
-    // sent-but-unexecuted and would otherwise wait on them.
-    if (tr != nullptr && tr->tick(*this)) {
-      if (idle) {
-        idle = false;
-        if (ring_) ring_->emit({now_ns(), 0, trace::EventKind::kIdleEnd});
-      }
-      continue;
-    }
-    // FT protocol work (checkpoint / recovery) only once the local queue
-    // is drained — rendezvous with the queue's messages already applied.
-    if (mgr != nullptr && mgr->poll(*this)) {
+    // Local work first.  With the queue drained, flush aggregation buffers
+    // whose timeout expired — before FT protocol work, since quiescence
+    // counts staged records as sent-but-unexecuted and would otherwise
+    // wait on them.  FT protocol work (checkpoint / recovery) runs only
+    // once the local queue is drained — rendezvous with the queue's
+    // messages already applied.
+    if (pump_one() || (tr != nullptr && tr->tick(*this)) ||
+        (mgr != nullptr && mgr->poll(*this))) {
       if (idle) {
         idle = false;
         if (ring_) ring_->emit({now_ns(), 0, trace::EventKind::kIdleEnd});
@@ -248,14 +235,11 @@ void Pe::scheduler_loop() {
       idle = true;
       if (ring_) ring_->emit({now_ns(), 0, trace::EventKind::kIdleBegin});
     }
-    // Idle poll (§III-D): pace the re-probe so sibling hardware threads
-    // keep the core's pipeline (emulated by pause bursts / yields).
+    // Idle poll (§III-D): yield between probes.  Functional runs have more
+    // threads than the host has cores, and yielding is what keeps them
+    // live; bench_idlepoll measures the paced policies.
     counters_->add(ids.idle_probes);
-    switch (policy) {
-      case IdlePollPolicy::kHotSpin: cpu_relax(); break;
-      case IdlePollPolicy::kL2Paced: l2_paced_delay(); break;
-      case IdlePollPolicy::kOsYield: std::this_thread::yield(); break;
-    }
+    std::this_thread::yield();
   }
   if (idle && ring_) {
     ring_->emit({now_ns(), 0, trace::EventKind::kIdleEnd});
@@ -282,6 +266,7 @@ Process::Process(Machine& machine, pami::EndpointId endpoint)
   } else {
     allocator_ = std::make_unique<alloc::ArenaAllocator>(nthreads);
   }
+  allocator_->register_metrics(machine.metrics());
 
   client_ = std::make_unique<pami::Client>(machine.fabric(), endpoint,
                                            cfg.contexts_per_process());
@@ -289,6 +274,9 @@ Process::Process(Machine& machine, pami::EndpointId endpoint)
   // so any active fault plan turns it on.
   if (machine.fabric().faults_enabled()) {
     client_->enable_reliability(cfg.reliability);
+  }
+  for (unsigned i = 0; i < client_->context_count(); ++i) {
+    client_->context(i).register_metrics(machine.metrics());
   }
   register_dispatches();
 
@@ -497,13 +485,14 @@ void Process::start_comm_threads(unsigned n) {
       std::move(ctxs), n, [workers, mach, ep](unsigned comm_tid) {
         // Comm threads use allocator slots after the workers'.
         set_current_tid(workers + comm_tid);
-        const std::string label =
-            "comm" + std::to_string(ep) + "." + std::to_string(comm_tid);
-        trace::Registry::bind_thread(mach->metrics().make_shard(label));
+        trace::Registry::bind_thread(mach->metrics().make_shard());
         if (mach->trace_session().enabled()) {
-          mach->trace_session().adopt_thread(ep, workers + comm_tid, label);
+          mach->trace_session().adopt_thread(
+              ep, workers + comm_tid,
+              "comm" + std::to_string(ep) + "." + std::to_string(comm_tid));
         }
       });
+  comm_pool_->register_metrics(machine_.metrics());
 }
 
 void Process::stop_comm_threads() {
@@ -540,6 +529,12 @@ Machine::Machine(MachineConfig cfg)
   hist_ids_.network_ns = metrics_.intern_hist("lat.network_ns");
   hist_ids_.queue_ns = metrics_.intern_hist("lat.queue_ns");
   hist_ids_.handler_ns = metrics_.intern_hist("lat.handler_ns");
+  // Counters owned by other objects are registered as readers where those
+  // objects are built; the ft.* names report even without a Manager.
+  ft::Manager::intern_metrics(metrics_);
+  readers_ = metrics_.add_readers(
+      {{"ft.stale_drops", [this] { return stale_drops(); }}});
+  trace_.register_metrics(metrics_);
   // Transport backend: an explicit config wins; otherwise BGQ_TRANSPORT
   // lets the bgq-run launcher make any existing binary host one rank of a
   // multi-process job.
@@ -574,6 +569,7 @@ Machine::Machine(MachineConfig cfg)
       torus_, cfg_.net, cfg_.contexts_per_process(),
       cfg_.effective_processes_per_node(), cfg_.rec_fifo_capacity,
       transport_.get());
+  fabric_->register_metrics(metrics_);
   if (multiproc_) {
     fabric_->transport().set_ctrl_handler(
         [this](const transport::CtrlMsg& m) { on_ctrl(m); });
@@ -782,126 +778,6 @@ void Machine::run(const std::function<void(Pe&)>& init) {
     fabric_->transport().flush();
   }
   for (auto& p : processes_) p->stop_comm_threads();
-}
-
-trace::Report Machine::metrics_report() {
-  // Fold the allocator and comm-thread counters in as gauges so one
-  // report covers the whole machine (summing across processes).
-  std::uint64_t pool_hits = 0, heap_allocs = 0, heap_frees = 0;
-  std::uint64_t slab_hits = 0, slab_carves = 0;
-  std::uint64_t arena_contention = 0, sweeps = 0, parks = 0;
-  bool any_pool = false, any_arena = false, any_comm = false;
-  for (const auto& proc : processes_) {
-    if (auto* pool =
-            dynamic_cast<alloc::PoolAllocator*>(&proc->allocator())) {
-      any_pool = true;
-      pool_hits += pool->pool_hits();
-      heap_allocs += pool->heap_allocs();
-      heap_frees += pool->heap_frees();
-      slab_hits += pool->slab_hits();
-      slab_carves += pool->slab_carves();
-    } else if (auto* arena = dynamic_cast<alloc::ArenaAllocator*>(
-                   &proc->allocator())) {
-      any_arena = true;
-      arena_contention += arena->contention_events();
-    }
-    if (proc->comm_pool() != nullptr) {
-      any_comm = true;
-      sweeps += proc->comm_pool()->sweeps();
-      parks += proc->comm_pool()->parks();
-    }
-  }
-  if (any_pool) {
-    metrics_.set_gauge("alloc.pool.hits", pool_hits);
-    metrics_.set_gauge("alloc.heap.allocs", heap_allocs);
-    metrics_.set_gauge("alloc.heap.frees", heap_frees);
-    metrics_.set_gauge("alloc.slab.hits", slab_hits);
-    metrics_.set_gauge("alloc.slab.carves", slab_carves);
-  }
-  if (any_arena) {
-    metrics_.set_gauge("alloc.arena.contention", arena_contention);
-  }
-  if (any_comm) {
-    metrics_.set_gauge("comm.sweeps", sweeps);
-    metrics_.set_gauge("comm.parks", parks);
-  }
-
-  // Fault-injection and reliability counters: emitted unconditionally —
-  // all zeros on a lossless run — so dashboards and the bench JSON schema
-  // see a stable key set whether or not chaos was enabled.
-  metrics_.set_gauge("net.drops", fabric_->faults_dropped());
-  metrics_.set_gauge("net.dups", fabric_->faults_duplicated());
-  metrics_.set_gauge("net.delays", fabric_->faults_delayed());
-  metrics_.set_gauge("net.bitflips", fabric_->faults_corrupted());
-  metrics_.set_gauge("net.fifo.rejects", fabric_->fifo_rejects());
-  metrics_.set_gauge("net.fifo.spills", fabric_->fifo_spills());
-  std::uint64_t retx = 0, dup_acks = 0, piggy = 0, alone = 0;
-  std::uint64_t corrupt = 0, dedup = 0, stalls = 0;
-  std::uint64_t evicted = 0, dead_drops = 0;
-  for (const auto& proc : processes_) {
-    pami::Client& cl = proc->client();
-    for (unsigned i = 0; i < cl.context_count(); ++i) {
-      const pami::Context& ctx = cl.context(i);
-      retx += ctx.retransmits();
-      dup_acks += ctx.dup_acks();
-      piggy += ctx.piggybacked_acks();
-      alone += ctx.standalone_acks();
-      corrupt += ctx.corrupt_drops();
-      dedup += ctx.dedup_drops();
-      stalls += ctx.backpressure_stalls();
-      evicted += ctx.dedup_evictions();
-      dead_drops += ctx.dead_peer_drops();
-    }
-  }
-  metrics_.set_gauge("net.retransmits", retx);
-  metrics_.set_gauge("net.dup_acks", dup_acks);
-  metrics_.set_gauge("net.acks.piggybacked", piggy);
-  metrics_.set_gauge("net.acks.standalone", alone);
-  metrics_.set_gauge("net.corrupt_drops", corrupt);
-  metrics_.set_gauge("net.dedup_drops", dedup);
-  metrics_.set_gauge("comm.backpressure_stalls", stalls);
-  metrics_.set_gauge("net.dedup.evicted", evicted);
-  metrics_.set_gauge("net.dead_peer_drops", dead_drops);
-  metrics_.set_gauge("net.blackholed", fabric_->blackholed());
-
-  // Transport counters: stable keys, all zeros for in-process runs.
-  const transport::Counters& tc = fabric_->transport().counters();
-  metrics_.set_gauge("net.transport.injects",
-                     tc.injects.load(std::memory_order_relaxed));
-  metrics_.set_gauge("net.transport.polls",
-                     tc.polls.load(std::memory_order_relaxed));
-  metrics_.set_gauge("net.transport.ring_full",
-                     tc.ring_full.load(std::memory_order_relaxed));
-  metrics_.set_gauge("net.transport.reconnects",
-                     tc.reconnects.load(std::memory_order_relaxed));
-
-  // Fault-tolerance counters: same stable-key-set policy — all zeros on a
-  // run with no FT armed.
-  metrics_.set_gauge("ft.checkpoints", ft_ ? ft_->checkpoints() : 0);
-  metrics_.set_gauge("ft.checkpoints_skipped",
-                     ft_ ? ft_->checkpoints_skipped() : 0);
-  metrics_.set_gauge("ft.recoveries", ft_ ? ft_->recoveries() : 0);
-  metrics_.set_gauge("ft.crashes", ft_ ? ft_->crashes_fired() : 0);
-  metrics_.set_gauge("ft.heartbeats", ft_ ? ft_->heartbeats() : 0);
-  metrics_.set_gauge("ft.watchdog_dumps", ft_ ? ft_->watchdog_dumps() : 0);
-  metrics_.set_gauge("ft.checkpoint_bytes",
-                     ft_ ? ft_->checkpoint_bytes() : 0);
-  metrics_.set_gauge("ft.recovery_ns", ft_ ? ft_->recovery_ns() : 0);
-  metrics_.set_gauge("ft.detect_ns", ft_ ? ft_->detect_ns() : 0);
-  metrics_.set_gauge("ft.stale_drops", stale_drops());
-
-  // Trace-ring health: total events lost to full rings and the worst
-  // per-ring occupancy high-water mark.  Emitted unconditionally (zeros
-  // when tracing is off) so a truncated trace is visible in any report
-  // instead of silently biasing the analyzer.
-  std::uint64_t ring_drops = 0, ring_hwm = 0;
-  for (const auto& rs : trace_.ring_stats()) {
-    ring_drops += rs.dropped;
-    ring_hwm = std::max(ring_hwm, rs.high_water);
-  }
-  metrics_.set_gauge("trace.ring.drops", ring_drops);
-  metrics_.set_gauge("trace.ring.hwm", ring_hwm);
-  return metrics_.report();
 }
 
 void Machine::write_chrome_trace(std::ostream& os) {

@@ -183,7 +183,6 @@ class Pe {
   friend class tram::Router;  // same-PE records execute inline on deagg
 
   void execute(Message* m);
-  bool queue_empty_probe();
 
   Process& process_;
   const PeRank rank_;
@@ -435,15 +434,15 @@ class Machine {
 
   // ---- tracing & metrics (src/trace/) ------------------------------------
 
-  /// The machine-wide counter/gauge registry.  Per-PE counters live in
-  /// shards owned by the PEs; totals are exact once run() has returned.
+  /// The machine-wide counter registry: per-PE shards plus the readers
+  /// each subsystem registers for its own counters.  Totals are live, and
+  /// exact once run() has returned.
   trace::Registry& metrics() noexcept { return metrics_; }
   const CounterIds& counter_ids() const noexcept { return ids_; }
   const HistIds& hist_ids() const noexcept { return hist_ids_; }
 
-  /// Snapshot of every counter (summed over PEs) and gauge, including the
-  /// allocator and comm-thread gauges gathered from each process.
-  trace::Report metrics_report();
+  /// Name-sorted snapshot of every counter (metrics().report()).
+  trace::Report metrics_report() const { return metrics_.report(); }
 
   /// The event-trace session (per-PE + per-comm-thread rings).  Disabled
   /// (empty) unless the config set trace_events.
@@ -504,6 +503,7 @@ class Machine {
   // Declared-dead process bitmask (functional machines are tiny; 64
   // processes is far beyond what one host can thread anyway).
   std::atomic<std::uint64_t> dead_mask_{0};
+  trace::Registry::Readers readers_;  // ft.stale_drops
 };
 
 }  // namespace bgq::cvs

@@ -24,6 +24,22 @@ std::uint64_t popcount64(std::uint64_t v) {
 }
 }  // namespace
 
+const Manager::Metric Manager::kMetrics[] = {
+    {"ft.checkpoints", &Manager::checkpoints_},
+    {"ft.checkpoints_skipped", &Manager::skipped_},
+    {"ft.recoveries", &Manager::recoveries_},
+    {"ft.crashes", &Manager::crashes_fired_},
+    {"ft.heartbeats", &Manager::heartbeats_},
+    {"ft.watchdog_dumps", &Manager::dumps_},
+    {"ft.checkpoint_bytes", &Manager::ckpt_bytes_},
+    {"ft.recovery_ns", &Manager::recovery_ns_},
+    {"ft.detect_ns", &Manager::detect_ns_},
+};
+
+void Manager::intern_metrics(trace::Registry& reg) {
+  for (const Metric& m : kMetrics) reg.intern(m.name);
+}
+
 Manager::Manager(cvs::Machine& mach, Config cfg,
                  std::vector<net::CrashEvent> crashes)
     : mach_(mach),
@@ -32,7 +48,14 @@ Manager::Manager(cvs::Machine& mach, Config cfg,
       crash_fired_(crashes_.size(), false),
       // config-derived count: the machine's Process objects don't exist
       // yet when the manager is built.
-      regs_(mach.multiproc() ? mach.config().process_count() : 0) {}
+      regs_(mach.multiproc() ? mach.config().process_count() : 0) {
+  std::vector<std::pair<std::string_view, trace::Registry::ReadFn>> readers;
+  for (const Metric& m : kMetrics) {
+    readers.emplace_back(m.name,
+                         [this, c = m.counter] { return (this->*c).load(); });
+  }
+  readers_ = mach.metrics().add_readers(std::move(readers));
+}
 
 Manager::~Manager() { stop(); }
 

@@ -25,12 +25,14 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "ft/config.hpp"
 #include "ft/store.hpp"
 #include "net/fault.hpp"
+#include "trace/registry.hpp"
 #include "transport/transport.hpp"
 
 namespace bgq::cvs {
@@ -110,14 +112,14 @@ class Manager {
 
   CheckpointStore& store() noexcept { return store_; }
 
-  // ---- counters (ft.* gauges in Machine::metrics_report) ---------------
+  // ---- counters (registered as ft.* in the machine's metrics) -----------
+  /// Intern every ft.* name in `reg`, so each report carries them — as
+  /// zeros on a machine without a Manager; a Manager's readers add to them.
+  static void intern_metrics(trace::Registry& reg);
+
   std::uint64_t checkpoints() const noexcept { return checkpoints_.load(); }
-  std::uint64_t checkpoints_skipped() const noexcept {
-    return skipped_.load();
-  }
   std::uint64_t recoveries() const noexcept { return recoveries_.load(); }
   std::uint64_t crashes_fired() const noexcept { return crashes_fired_.load(); }
-  std::uint64_t heartbeats() const noexcept { return heartbeats_.load(); }
   std::uint64_t watchdog_dumps() const noexcept { return dumps_.load(); }
   std::uint64_t checkpoint_bytes() const noexcept {
     return ckpt_bytes_.load();
@@ -210,6 +212,14 @@ class Manager {
   std::atomic<std::uint64_t> ckpt_bytes_{0};
   std::atomic<std::uint64_t> recovery_ns_{0};
   std::atomic<std::uint64_t> detect_ns_{0};
+
+  /// Each ft.* name and the counter above it reads.
+  struct Metric {
+    std::string_view name;
+    std::atomic<std::uint64_t> Manager::*counter;
+  };
+  static const Metric kMetrics[];
+  trace::Registry::Readers readers_;
 };
 
 }  // namespace bgq::ft

@@ -102,8 +102,8 @@ class CheckpointStore {
     return out;
   }
 
-  /// Total bytes resident across all copies (the `ft.checkpoint_bytes`
-  /// gauge).
+  /// Total bytes resident across all copies (reported as
+  /// `ft.checkpoint_bytes`).
   std::uint64_t resident_bytes() const {
     std::lock_guard<std::mutex> g(mu_);
     std::uint64_t n = 0;

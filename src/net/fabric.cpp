@@ -89,6 +89,26 @@ std::uint64_t Fabric::fifo_spills() const noexcept {
   return total;
 }
 
+void Fabric::register_metrics(trace::Registry& reg) {
+  const transport::Counters& tc = transport_->counters();
+  auto read = [](const std::atomic<std::uint64_t>& c) {
+    return [&c] { return c.load(std::memory_order_relaxed); };
+  };
+  readers_ = reg.add_readers({
+      {"net.drops", read(drops_)},
+      {"net.dups", read(dups_)},
+      {"net.delays", read(delays_)},
+      {"net.bitflips", read(bitflips_)},
+      {"net.fifo.rejects", read(rejects_)},
+      {"net.fifo.spills", [this] { return fifo_spills(); }},
+      {"net.blackholed", [this] { return blackholed(); }},
+      {"net.transport.injects", read(tc.injects)},
+      {"net.transport.polls", read(tc.polls)},
+      {"net.transport.ring_full", read(tc.ring_full)},
+      {"net.transport.reconnects", read(tc.reconnects)},
+  });
+}
+
 void Fabric::inject(Packet* p) {
   // A dead endpoint neither emits nor absorbs traffic: transfers touching
   // one vanish before any accounting, exactly like a powered-off node's

@@ -27,6 +27,7 @@
 #include "net/params.hpp"
 #include "queue/l2_atomic_queue.hpp"
 #include "topology/torus.hpp"
+#include "trace/registry.hpp"
 #include "transport/transport.hpp"
 #include "wakeup/wakeup_unit.hpp"
 
@@ -223,6 +224,9 @@ class Fabric : public transport::DeliverySink {
   /// Deliveries that took a FIFO's overflow path, summed over all FIFOs.
   std::uint64_t fifo_spills() const noexcept;
 
+  /// Register the counters above and the transport's as net.* readers.
+  void register_metrics(trace::Registry& reg);
+
  private:
   struct FaultState;
 
@@ -255,6 +259,7 @@ class Fabric : public transport::DeliverySink {
   std::atomic<std::uint64_t> delays_{0};
   std::atomic<std::uint64_t> bitflips_{0};
   std::atomic<std::uint64_t> rejects_{0};
+  trace::Registry::Readers readers_;
 };
 
 }  // namespace bgq::net

@@ -43,6 +43,14 @@ void CommThreadPool::stop() {
   for (Context* c : contexts_) c->bind_gate(nullptr);
 }
 
+void CommThreadPool::register_metrics(trace::Registry& reg) {
+  readers_ = reg.add_readers({
+      {"comm.sweeps",
+       [this] { return sweeps_.load(std::memory_order_relaxed); }},
+      {"comm.parks", [this] { return parks(); }},
+  });
+}
+
 namespace {
 // Park deadline while reliability timers are armed — half the default
 // initial RTO, so a retransmit is at most one park late.

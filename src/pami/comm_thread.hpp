@@ -56,10 +56,9 @@ class CommThreadPool {
     return static_cast<unsigned>((worker + seq) % ncontexts);
   }
 
-  // ---- statistics --------------------------------------------------------
-  std::uint64_t sweeps() const noexcept {
-    return sweeps_.load(std::memory_order_relaxed);
-  }
+  /// Register comm.sweeps and comm.parks for this pool's lifetime.
+  void register_metrics(trace::Registry& reg);
+
   std::uint64_t parks() const noexcept {
     return parks_.load(std::memory_order_relaxed);
   }
@@ -75,6 +74,7 @@ class CommThreadPool {
 
   std::atomic<std::uint64_t> sweeps_{0};
   std::atomic<std::uint64_t> parks_{0};
+  trace::Registry::Readers readers_;
 };
 
 }  // namespace bgq::pami

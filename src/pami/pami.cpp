@@ -27,6 +27,20 @@ Context::~Context() {
   while (WorkItem* w = work_.try_dequeue()) delete w;
 }
 
+void Context::register_metrics(trace::Registry& reg) {
+  readers_ = reg.add_readers({
+      {"net.retransmits", [this] { return retransmits(); }},
+      {"net.dup_acks", [this] { return dup_acks_; }},
+      {"net.acks.piggybacked", [this] { return acks_piggy_; }},
+      {"net.acks.standalone", [this] { return acks_alone_; }},
+      {"net.corrupt_drops", [this] { return corrupt_; }},
+      {"net.dedup_drops", [this] { return dedup_; }},
+      {"net.dedup.evicted", [this] { return dedup_evicted_; }},
+      {"net.dead_peer_drops", [this] { return dead_drops_; }},
+      {"comm.backpressure_stalls", [this] { return stalls_; }},
+  });
+}
+
 net::ReceptionFifo& Context::fifo() {
   return client_.fabric().reception_fifo(client_.endpoint(), index_);
 }

@@ -39,6 +39,7 @@
 #include "net/packet.hpp"
 #include "pami/reliability.hpp"
 #include "queue/l2_atomic_queue.hpp"
+#include "trace/registry.hpp"
 #include "wakeup/wakeup_unit.hpp"
 
 namespace bgq::pami {
@@ -162,7 +163,6 @@ class Context {
   }
   std::uint64_t dup_acks() const noexcept { return dup_acks_; }
   std::uint64_t piggybacked_acks() const noexcept { return acks_piggy_; }
-  std::uint64_t standalone_acks() const noexcept { return acks_alone_; }
   std::uint64_t corrupt_drops() const noexcept { return corrupt_; }
   std::uint64_t dedup_drops() const noexcept { return dedup_; }
   std::uint64_t backpressure_stalls() const noexcept { return stalls_; }
@@ -171,6 +171,8 @@ class Context {
   /// Unacked/backlogged packets culled because their peer died (instead
   /// of retrying into a blackhole until retries exhausted).
   std::uint64_t dead_peer_drops() const noexcept { return dead_drops_; }
+  /// Register the counters above as net.* and comm.backpressure_stalls.
+  void register_metrics(trace::Registry& reg);
 
   // Point-in-time queue depths (advisory off the advancing thread; the
   // hang watchdog reads them for its diagnostic dump).
@@ -253,6 +255,7 @@ class Context {
   std::uint64_t stalls_ = 0;
   std::uint64_t dedup_evicted_ = 0;
   std::uint64_t dead_drops_ = 0;
+  trace::Registry::Readers readers_;
 };
 
 /// One PAMI client per process (endpoint); owns the contexts and the

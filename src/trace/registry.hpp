@@ -1,4 +1,4 @@
-// Process-wide counter/gauge registry — the replacement for the PeStats
+// Process-wide counter registry — the replacement for the PeStats
 // fields that used to be scattered through the machine layer.
 //
 // Names are interned once (setup path, mutex) into dense ids; each traced
@@ -9,8 +9,10 @@
 // replace, totals are exact at quiesce (after Machine::run returns) and
 // advisory while threads are live.
 //
-// Gauges are process-wide point-in-time values (pool occupancy, comm
-// sweeps) written at report time by whoever owns the source counter.
+// A counter that lives outside the shards (allocator, PAMI context,
+// fabric, FT, trace rings) is a *reader* its owner registers once, when
+// it is built; report() and total() add every reader of a name to that
+// name's shard cells, reading the owner's field live at report time.
 //
 // Naming scheme: lowercase dotted `<subsystem>.<object>.<metric>`, e.g.
 // `pe.msgs.executed`, `pe.sends.network`, `alloc.pool.hits`,
@@ -20,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -31,7 +34,7 @@
 
 namespace bgq::trace {
 
-/// A flat, name-sorted snapshot of every counter and gauge.
+/// A flat, name-sorted snapshot of every counter and reader.
 struct Report {
   std::vector<std::pair<std::string, std::uint64_t>> entries;
 
@@ -75,16 +78,11 @@ class Registry {
     const Histogram* hist(Id id) const noexcept {
       return id < hists_.size() ? &hists_[id] : nullptr;
     }
-    const std::string& label() const noexcept { return label_; }
 
    private:
     friend class Registry;
-    explicit Shard(std::string label, std::size_t reserve,
-                   std::size_t hist_reserve)
-        : label_(std::move(label)),
-          cells_(reserve, 0),
-          hists_(hist_reserve) {}
-    std::string label_;
+    Shard(std::size_t reserve, std::size_t hist_reserve)
+        : cells_(reserve, 0), hists_(hist_reserve) {}
     std::vector<std::uint64_t> cells_;
     std::vector<Histogram> hists_;
   };
@@ -117,10 +115,10 @@ class Registry {
   }
 
   /// Create (and own) a shard sized to the counters interned so far.
-  Shard* make_shard(std::string label) {
+  Shard* make_shard() {
     std::lock_guard<std::mutex> g(mu_);
     shards_.push_back(std::unique_ptr<Shard>(
-        new Shard(std::move(label), names_.size(), hist_names_.size())));
+        new Shard(names_.size(), hist_names_.size())));
     return shards_.back().get();
   }
 
@@ -131,26 +129,11 @@ class Registry {
   // threads) still charge the right shard.  Unbound threads pay one TLS
   // load and a branch.
 
-  static Shard* thread_shard() noexcept { return tls_shard_; }
   static void bind_thread(Shard* s) noexcept { tls_shard_ = s; }
 
   /// Record into the calling thread's bound shard, if any.
   static void record_here(Id hist_id, std::uint64_t v) noexcept {
     if (Shard* s = tls_shard_) s->record(hist_id, v);
-  }
-
-  /// Histogram `name` merged across all shards (exact at quiesce).
-  Histogram hist_total(std::string_view name) const {
-    std::lock_guard<std::mutex> g(mu_);
-    Histogram out;
-    for (Id i = 0; i < hist_names_.size(); ++i) {
-      if (hist_names_[i] != name) continue;
-      for (const auto& s : shards_) {
-        if (const Histogram* h = s->hist(i)) out.merge(*h);
-      }
-      break;
-    }
-    return out;
   }
 
   /// Every interned histogram name with its cross-shard merge, in intern
@@ -169,76 +152,79 @@ class Registry {
     return out;
   }
 
-  /// Set a process-wide gauge (report-time writers; thread-safe).
-  void set_gauge(std::string_view name, std::uint64_t v) {
+  /// What one reader returns: the owner's counter, read at report time.
+  using ReadFn = std::function<std::uint64_t()>;
+
+  /// Unregisters the readers of one add_readers() call.
+  struct Unregister {
+    std::uint64_t key = 0;
+    void operator()(Registry* reg) const { reg->drop_readers(key); }
+  };
+  /// The handle on one owner's readers.  Destroying or reassigning it
+  /// unregisters them, so a handle kept as the last member of the object
+  /// its readers read never leaves a reader dangling.
+  using Readers = std::unique_ptr<Registry, Unregister>;
+
+  /// Register named readers for counters one object owns (setup path;
+  /// thread-safe).  Names need not be interned; several readers of one
+  /// name add up.  Readers run under the registry mutex, so dropping a
+  /// handle waits out a read in flight; they must not call back into the
+  /// registry.
+  [[nodiscard]] Readers add_readers(
+      std::vector<std::pair<std::string_view, ReadFn>> readers) {
     std::lock_guard<std::mutex> g(mu_);
-    for (auto& [k, old] : gauges_) {
-      if (k == name) {
-        old = v;
-        return;
-      }
+    const std::uint64_t key = ++last_key_;
+    for (auto& [name, read] : readers) {
+      readers_.push_back({key, std::string(name), std::move(read)});
     }
-    gauges_.emplace_back(std::string(name), v);
+    return Readers(this, Unregister{key});
   }
 
-  /// Sum of `name` across all shards, plus its gauge if set.
+  /// Sum of `name` across all shards plus all its readers (live).
   std::uint64_t total(std::string_view name) const {
-    std::lock_guard<std::mutex> g(mu_);
-    return total_locked(name);
+    return report().value(name);
   }
 
-  /// Every counter (summed over shards) and gauge, sorted by name.
+  /// Every counter (summed over shards and readers), sorted by name.
   Report report() const {
     std::lock_guard<std::mutex> g(mu_);
-    Report r;
+    Report rep;
     for (Id i = 0; i < names_.size(); ++i) {
       std::uint64_t sum = 0;
       for (const auto& s : shards_) sum += s->get(i);
-      r.entries.emplace_back(names_[i], sum);
+      rep.entries.emplace_back(names_[i], sum);
     }
-    for (const auto& [k, v] : gauges_) {
-      bool merged = false;
-      for (auto& [rk, rv] : r.entries) {
-        if (rk == k) {
-          rv += v;
-          merged = true;
-          break;
-        }
+    for (const auto& r : readers_) {
+      auto it = std::find_if(rep.entries.begin(), rep.entries.end(),
+                             [&](const auto& e) { return e.first == r.name; });
+      if (it == rep.entries.end()) {
+        rep.entries.emplace_back(r.name, r.read());
+      } else {
+        it->second += r.read();
       }
-      if (!merged) r.entries.emplace_back(k, v);
     }
-    std::sort(r.entries.begin(), r.entries.end());
-    return r;
-  }
-
-  std::size_t counter_count() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return names_.size();
+    std::sort(rep.entries.begin(), rep.entries.end());
+    return rep;
   }
 
  private:
-  std::uint64_t total_locked(std::string_view name) const {
-    for (Id i = 0; i < names_.size(); ++i) {
-      if (names_[i] == name) {
-        std::uint64_t sum = 0;
-        for (const auto& s : shards_) sum += s->get(i);
-        for (const auto& [k, v] : gauges_) {
-          if (k == name) sum += v;
-        }
-        return sum;
-      }
-    }
-    for (const auto& [k, v] : gauges_) {
-      if (k == name) return v;
-    }
-    return 0;
+  struct Reader {
+    std::uint64_t key;  // of the add_readers() call that registered it
+    std::string name;
+    ReadFn read;
+  };
+
+  void drop_readers(std::uint64_t key) {
+    std::lock_guard<std::mutex> g(mu_);
+    std::erase_if(readers_, [key](const Reader& r) { return r.key == key; });
   }
 
   mutable std::mutex mu_;
   std::vector<std::string> names_;
   std::vector<std::string> hist_names_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::pair<std::string, std::uint64_t>> gauges_;
+  std::vector<Reader> readers_;
+  std::uint64_t last_key_ = 0;
 
   static thread_local Shard* tls_shard_;
 };

@@ -45,7 +45,7 @@ class EventRing {
     }
     // Occupancy high-water mark (producer-only write): makes a ring that
     // ran near-full — and therefore a trace that is about to bias — visible
-    // in metrics_report() even when no event was actually dropped yet.
+    // as trace.ring.hwm even when no event was actually dropped yet.
     if (pending + 1 > hwm_.load(std::memory_order_relaxed)) {
       hwm_.store(pending + 1, std::memory_order_relaxed);
     }

@@ -11,6 +11,7 @@
 // emitters — each ring's drain is its single consumer side.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/timing.hpp"
+#include "trace/registry.hpp"
 #include "trace/ring.hpp"
 
 namespace bgq::trace {
@@ -91,28 +93,27 @@ class Session {
     return flat_;
   }
 
-  /// Per-ring loss/occupancy accounting without draining any events —
-  /// metrics_report() surfaces these so a truncated trace is visible
-  /// instead of silently biased.
-  struct RingStat {
-    std::string name;
-    std::uint64_t dropped = 0;
-    std::uint64_t high_water = 0;
-    std::size_t capacity = 0;
-  };
-  std::vector<RingStat> ring_stats() const {
-    std::lock_guard<std::mutex> g(mu_);
-    std::vector<RingStat> out;
-    out.reserve(slots_.size());
-    for (const auto& s : slots_) {
-      out.push_back({s->name, s->ring.dropped(), s->ring.high_water(),
-                     s->ring.capacity()});
-    }
-    return out;
+  /// Register trace.ring.drops (events lost to full rings) and
+  /// trace.ring.hwm (the worst ring's high-water mark), so a truncated
+  /// trace shows in every report.  Both read 0 while tracing is off.
+  void register_metrics(Registry& reg) {
+    readers_ = reg.add_readers({
+        {"trace.ring.drops",
+         [this] {
+           std::lock_guard<std::mutex> g(mu_);
+           std::uint64_t n = 0;
+           for (const auto& s : slots_) n += s->ring.dropped();
+           return n;
+         }},
+        {"trace.ring.hwm",
+         [this] {
+           std::lock_guard<std::mutex> g(mu_);
+           std::uint64_t n = 0;
+           for (const auto& s : slots_) n = std::max(n, s->ring.high_water());
+           return n;
+         }},
+    });
   }
-
-  /// The trace accumulated by previous collect() calls.
-  const FlatTrace& flat() const noexcept { return flat_; }
 
   // ---- thread binding -----------------------------------------------------
   // The macros in trace.hpp and the compiled-in runtime emit sites route
@@ -145,6 +146,7 @@ class Session {
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Slot>> slots_;
   FlatTrace flat_;
+  Registry::Readers readers_;
 
   static thread_local EventRing* tls_ring_;
 };

@@ -19,8 +19,8 @@
 //     delivery-discipline state (a shared-memory job shares the stamps,
 //     a socket job learns liveness from frame arrivals), so they live
 //     here and the fabric forwards;
-//   * *counters*: injects/polls/ring_full/reconnects, exported as
-//     net.transport.* gauges.
+//   * *counters*: injects/polls/ring_full/reconnects, reported as
+//     net.transport.* (the fabric registers their readers).
 //
 // Dependency direction: this header depends only on the header-only
 // packet descriptor; backends never include fabric.hpp.  The fabric
@@ -65,7 +65,7 @@ class DeliverySink {
 
 using CtrlHandler = std::function<void(const CtrlMsg&)>;
 
-/// Transport counters (net.transport.* gauges).  Plain atomics: writers
+/// Transport counters (reported as net.transport.*).  Plain atomics: writers
 /// are the injecting threads and the polling thread.
 struct Counters {
   std::atomic<std::uint64_t> injects{0};    ///< data packets shipped out

@@ -3,9 +3,12 @@
 // pointer exchange, and the L2-atomics / allocator configuration axes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "converse/machine.hpp"
 
@@ -26,6 +29,31 @@ MachineConfig base_config(Mode mode) {
   cfg.processes_per_node = 2;
   cfg.comm_threads = 1;
   return cfg;
+}
+
+/// One empty message from PE 0 to PE 1, then stop; returns its handler.
+HandlerId run_one_message(Machine& machine) {
+  const HandlerId h = machine.register_handler(
+      [&](Pe& pe, Message* m) { pe.free_message(m); pe.exit_all(); });
+  machine.run([&](Pe& pe) {
+    if (pe.rank() == 0) pe.send(1, h, nullptr, 0);
+  });
+  return h;
+}
+
+/// Every PE but PE 0 sends `per` messages to PE 0; returns how many arrived.
+std::size_t flood_pe0(Machine& machine, int per) {
+  const std::size_t total = (machine.pe_count() - 1) * per;
+  std::atomic<std::size_t> got{0};
+  const HandlerId h = machine.register_handler([&](Pe& pe, Message* m) {
+    pe.free_message(m);
+    if (got.fetch_add(1) + 1 == total) pe.exit_all();
+  });
+  machine.run([&](Pe& pe) {
+    if (pe.rank() == 0) return;
+    for (int i = 0; i < per; ++i) pe.send(0, h, &i, sizeof(i));
+  });
+  return got.load();
 }
 
 /// Ping-pong between the first and last PE; verifies payload integrity and
@@ -184,21 +212,7 @@ TEST(Converse, ManyToOneStressAllMessagesArrive) {
   cfg.nodes = 2;
   cfg.workers_per_process = 4;
   Machine machine(cfg);
-  const std::size_t senders = machine.pe_count() - 1;
-  constexpr int kPer = 200;
-
-  std::atomic<std::size_t> got{0};
-  const HandlerId h = machine.register_handler([&](Pe& pe, Message* m) {
-    pe.free_message(m);
-    if (got.fetch_add(1) + 1 == senders * kPer) pe.exit_all();
-  });
-
-  machine.run([&](Pe& pe) {
-    if (pe.rank() == 0) return;
-    for (int i = 0; i < kPer; ++i) pe.send(0, h, &i, sizeof(i));
-  });
-
-  EXPECT_EQ(got.load(), senders * kPer);
+  EXPECT_EQ(flood_pe0(machine, 200), (machine.pe_count() - 1) * 200);
 }
 
 TEST(Converse, RendezvousPreservesLargePayloadIntegrity) {
@@ -258,15 +272,7 @@ TEST(Converse, TraceRecordsBusyIntervals) {
   MachineConfig cfg = base_config(Mode::kSmp);
   cfg.trace_events = true;
   Machine machine(cfg);
-
-  const HandlerId h = machine.register_handler([&](Pe& pe, Message* m) {
-    pe.free_message(m);
-    pe.exit_all();
-  });
-  machine.run([&](Pe& pe) {
-    if (pe.rank() != 0) return;
-    pe.send(1, h, nullptr, 0);
-  });
+  const HandlerId h = run_one_message(machine);
 
   // PE 1 executed the handler: its track must carry a closed handler span
   // with a sane timestamp order.
@@ -325,21 +331,7 @@ TEST_P(FaultyModes, ManyToOneExactlyOnceUnderDropDupReorder) {
   MachineConfig cfg = faulty_config(
       GetParam(), "drop=0.01,dup=0.01,delay=0.02,seed=1234");
   Machine machine(cfg);
-  const std::size_t senders = machine.pe_count() - 1;
-  constexpr int kPer = 100;
-
-  std::atomic<std::size_t> got{0};
-  const HandlerId h = machine.register_handler([&](Pe& pe, Message* m) {
-    pe.free_message(m);
-    if (got.fetch_add(1) + 1 == senders * kPer) pe.exit_all();
-  });
-
-  machine.run([&](Pe& pe) {
-    if (pe.rank() == 0) return;
-    for (int i = 0; i < kPer; ++i) pe.send(0, h, &i, sizeof(i));
-  });
-
-  EXPECT_EQ(got.load(), senders * kPer)
+  EXPECT_EQ(flood_pe0(machine, 100), (machine.pe_count() - 1) * 100)
       << "every message delivered exactly once despite drop+dup+reorder";
   const auto report = machine.metrics_report();
   EXPECT_GT(report.value("net.drops") + report.value("net.dups") +
@@ -363,25 +355,12 @@ TEST(ConverseFaults, RetransmitCounterProvesProtocolExercised) {
   MachineConfig cfg =
       faulty_config(Mode::kSmp, "drop=0.05,dup=0.01,delay=0.02,seed=99");
   Machine machine(cfg);
-  const std::size_t senders = machine.pe_count() - 1;
-  constexpr int kPer = 200;
-
-  std::atomic<std::size_t> got{0};
-  const HandlerId h = machine.register_handler([&](Pe& pe, Message* m) {
-    pe.free_message(m);
-    if (got.fetch_add(1) + 1 == senders * kPer) pe.exit_all();
-  });
-  machine.run([&](Pe& pe) {
-    if (pe.rank() == 0) return;
-    for (int i = 0; i < kPer; ++i) pe.send(0, h, &i, sizeof(i));
-  });
-
-  ASSERT_EQ(got.load(), senders * kPer);
+  const std::size_t sent = (machine.pe_count() - 1) * 200;
+  ASSERT_EQ(flood_pe0(machine, 200), sent);
   const auto report = machine.metrics_report();
   EXPECT_GT(report.value("net.drops"), 0u);
   EXPECT_GT(report.value("net.retransmits"), 0u)
-      << "5% drop over " << senders * kPer
-      << " messages must have forced retransmits";
+      << "5% drop over " << sent << " messages must have forced retransmits";
 }
 
 TEST(ConverseFaults, RendezvousSurvivesFaultyControlPackets) {
@@ -418,22 +397,75 @@ TEST(ConverseFaults, RendezvousSurvivesFaultyControlPackets) {
   EXPECT_TRUE(ok.load());
 }
 
+// ---------------------------------------------------------------------------
+// Metric key sets
+// ---------------------------------------------------------------------------
+
+// Names every machine reports, as zeros when idle.
+const std::vector<std::string> kAlwaysKeys = {
+    "comm.backpressure_stalls", "ft.checkpoint_bytes", "ft.checkpoints",
+    "ft.checkpoints_skipped", "ft.crashes", "ft.detect_ns", "ft.heartbeats",
+    "ft.recoveries", "ft.recovery_ns", "ft.stale_drops", "ft.watchdog_dumps",
+    "net.acks.piggybacked", "net.acks.standalone", "net.bitflips",
+    "net.blackholed", "net.corrupt_drops", "net.dead_peer_drops",
+    "net.dedup.evicted", "net.dedup_drops", "net.delays", "net.drops",
+    "net.dup_acks", "net.dups", "net.fifo.rejects", "net.fifo.spills",
+    "net.retransmits", "net.transport.injects", "net.transport.polls",
+    "net.transport.reconnects", "net.transport.ring_full", "pe.busy_ns",
+    "pe.idle.probes", "pe.msgs.executed", "pe.msgs.sent", "pe.sends.intra",
+    "pe.sends.network", "trace.ring.drops", "trace.ring.hwm", "tram.appends",
+    "tram.batched_msgs", "tram.batches", "tram.bypass.oversize",
+    "tram.deagg_msgs", "tram.flush.barrier", "tram.flush.bytes",
+    "tram.flush.count", "tram.flush.timeout", "tram.stale_discards"};
+// Names reported only with the pool allocator.
+const std::vector<std::string> kPoolKeys = {
+    "alloc.heap.allocs", "alloc.heap.frees", "alloc.pool.hits",
+    "alloc.slab.carves", "alloc.slab.hits"};
+
+/// kAlwaysKeys plus `extra`, sorted.
+std::vector<std::string> keys_with(std::vector<std::string> extra) {
+  extra.insert(extra.end(), kAlwaysKeys.begin(), kAlwaysKeys.end());
+  std::sort(extra.begin(), extra.end());
+  return extra;
+}
+
+TEST(ConverseMetrics, KeySetIsPinnedPerConfig) {
+  MachineConfig arena = base_config(Mode::kNonSmp);
+  arena.use_pool_allocator = false;
+  MachineConfig ft_tram = base_config(Mode::kSmp);
+  ft_tram.tram.enabled = true;
+  ft_tram.ft.enabled = true;
+  ft_tram.ft.checkpoint_period_ms = 10'000;  // no checkpoint interference
+  ft_tram.ft.watchdog_abort = false;
+  std::vector<std::string> pool_comm = kPoolKeys;
+  pool_comm.insert(pool_comm.end(), {"comm.parks", "comm.sweeps"});
+  const struct {
+    MachineConfig cfg;
+    std::vector<std::string> keys;
+  } cases[] = {
+      {base_config(Mode::kSmp), keys_with(kPoolKeys)},
+      {arena, keys_with({"alloc.arena.contention"})},
+      {base_config(Mode::kSmpCommThreads), keys_with(pool_comm)},
+      {ft_tram, keys_with(kPoolKeys)},
+  };
+  for (const auto& c : cases) {
+    Machine machine(c.cfg);
+    run_one_message(machine);
+    std::vector<std::string> keys;
+    for (const auto& [k, v] : machine.metrics_report().entries) {
+      keys.push_back(k);
+    }
+    EXPECT_EQ(keys, c.keys) << "case " << &c - cases;
+  }
+}
+
 TEST(ConverseFaults, DefaultRunEmitsReliabilityCountersAsZeros) {
-  MachineConfig cfg = base_config(Mode::kSmp);
-  Machine machine(cfg);
-  const HandlerId h = machine.register_handler(
-      [&](Pe& pe, Message* m) { pe.free_message(m); pe.exit_all(); });
-  machine.run([&](Pe& pe) {
-    if (pe.rank() == 0) pe.send(1, h, nullptr, 0);
-  });
+  Machine machine(base_config(Mode::kSmp));
+  run_one_message(machine);
 
   const auto report = machine.metrics_report();
-  for (const char* key :
-       {"net.drops", "net.dups", "net.delays", "net.bitflips",
-        "net.fifo.rejects", "net.fifo.spills", "net.retransmits",
-        "net.dup_acks", "net.acks.piggybacked", "net.acks.standalone",
-        "net.corrupt_drops", "net.dedup_drops",
-        "comm.backpressure_stalls"}) {
+  for (const std::string& key : kAlwaysKeys) {
+    if (key.starts_with("pe.") || key.starts_with("tram.")) continue;
     EXPECT_TRUE(report.has(key)) << key << " missing from report";
     EXPECT_EQ(report.value(key), 0u) << key << " nonzero on lossless run";
   }
@@ -443,22 +475,18 @@ TEST(ConverseFaults, FifoCapacityIsConfigurableAndSpillsAreCounted) {
   MachineConfig cfg = base_config(Mode::kSmp);
   cfg.rec_fifo_capacity = 8;  // tiny ring: bursts must spill (lossless)
   Machine machine(cfg);
-  const std::size_t senders = machine.pe_count() - 1;
-  constexpr int kPer = 300;
-
-  std::atomic<std::size_t> got{0};
-  const HandlerId h = machine.register_handler([&](Pe& pe, Message* m) {
-    pe.free_message(m);
-    if (got.fetch_add(1) + 1 == senders * kPer) pe.exit_all();
-  });
-  machine.run([&](Pe& pe) {
-    if (pe.rank() == 0) return;
-    for (int i = 0; i < kPer; ++i) pe.send(0, h, &i, sizeof(i));
-  });
-
-  EXPECT_EQ(got.load(), senders * kPer) << "spilling stays lossless";
+  EXPECT_EQ(flood_pe0(machine, 300), (machine.pe_count() - 1) * 300)
+      << "spilling stays lossless";
+  // total() is live: read every name before the first report and match it.
+  const auto keys = keys_with(kPoolKeys);
+  std::vector<std::uint64_t> totals;
+  for (const std::string& k : keys) totals.push_back(machine.metrics().total(k));
   const auto report = machine.metrics_report();
   EXPECT_GT(report.value("net.fifo.spills"), 0u);
+  ASSERT_EQ(report.entries.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(totals[i], report.value(keys[i])) << keys[i];
+  }
 }
 
 TEST(Message, HeaderLayoutAndAccessors) {

@@ -174,15 +174,14 @@ TEST(TraceSession, CrossThreadFlushOrdering) {
 
 // ---- registry -------------------------------------------------------------
 
-TEST(TraceRegistry, ShardTotalsAndGauges) {
+TEST(TraceRegistry, ShardTotalsAndReaders) {
   Registry reg;
   const Registry::Id sent = reg.intern("pe.msgs.sent");
   const Registry::Id exec = reg.intern("pe.msgs.executed");
   EXPECT_EQ(reg.intern("pe.msgs.sent"), sent) << "intern is idempotent";
-  EXPECT_EQ(reg.counter_count(), 2u);
 
-  Registry::Shard* s0 = reg.make_shard("pe0");
-  Registry::Shard* s1 = reg.make_shard("pe1");
+  Registry::Shard* s0 = reg.make_shard();
+  Registry::Shard* s1 = reg.make_shard();
   s0->add(sent, 3);
   s1->add(sent, 4);
   s1->add(exec);
@@ -190,22 +189,38 @@ TEST(TraceRegistry, ShardTotalsAndGauges) {
   EXPECT_EQ(reg.total("pe.msgs.executed"), 1u);
   EXPECT_EQ(reg.total("no.such.counter"), 0u);
 
-  reg.set_gauge("comm.parks", 5);
-  reg.set_gauge("comm.parks", 9);  // overwrite, not accumulate
-  EXPECT_EQ(reg.total("comm.parks"), 9u);
-  // A gauge sharing a counter's name adds into its total.
-  reg.set_gauge("pe.msgs.sent", 100);
+  std::uint64_t parks = 5;
+  Registry::Readers readers = reg.add_readers({
+      {"comm.parks", [&] { return parks; }},
+      {"pe.msgs.sent", [] { return std::uint64_t{100}; }},
+  });
+  EXPECT_EQ(reg.total("comm.parks"), 5u);
+  parks = 9;  // read live by every total() and report(), never copied
+  EXPECT_EQ(reg.report().value("comm.parks"), 9u);
+  // A reader sharing a counter's name adds to its shard cells.
   EXPECT_EQ(reg.total("pe.msgs.sent"), 107u);
+  // Readers of one name from different owners add up.
+  Registry::Readers more =
+      reg.add_readers({{"comm.parks", [] { return std::uint64_t{1}; }}});
+  EXPECT_EQ(reg.total("comm.parks"), 10u);
+
+  // Dropping a handle unregisters its readers, and only those.
+  readers.reset();
+  EXPECT_EQ(reg.total("pe.msgs.sent"), 7u);
+  EXPECT_EQ(reg.total("comm.parks"), 1u);
+  more.reset();
+  EXPECT_FALSE(reg.report().has("comm.parks"));
 }
 
 TEST(TraceRegistry, ReportIsNameSorted) {
   Registry reg;
   const Registry::Id z = reg.intern("z.last");
   const Registry::Id a = reg.intern("a.first");
-  Registry::Shard* s = reg.make_shard("pe0");
+  Registry::Shard* s = reg.make_shard();
   s->add(z, 2);
   s->add(a, 1);
-  reg.set_gauge("m.middle", 7);
+  const Registry::Readers readers =
+      reg.add_readers({{"m.middle", [] { return std::uint64_t{7}; }}});
 
   const bgq::trace::Report r = reg.report();
   ASSERT_EQ(r.entries.size(), 3u);
@@ -412,7 +427,7 @@ TEST(TraceSummary, SummaryJsonRoundTrips) {
 
   bgq::trace::Registry reg;
   const auto id = reg.intern("pe.msgs.executed");
-  reg.make_shard("pe0")->add(id, 42);
+  reg.make_shard()->add(id, 42);
   const auto counters = reg.report();
 
   std::ostringstream os;
